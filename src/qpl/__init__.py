@@ -18,6 +18,7 @@ from .figurate import (
     gaussian_binomial,
     gnomon,
     pentagonal,
+    signed_figurate_series,
 )
 from .partsets import PartSet, parse_part_set
 from .partitions import (
@@ -36,6 +37,7 @@ from .partitions import (
     oracle_table,
     partition_shift_identities,
     quotient_series,
+    recursion_table,
     recursive_count_bounded_jbar,
     recursive_count_distinct_j,
     recursive_count_j,
@@ -50,11 +52,11 @@ from .divisors import (
     divisor_table,
     kim_identity_check,
     recursive_divisor_sums,
+    shift_formula_divisor_sums,
 )
-from .reports import Mismatch, VerificationReport
+from .reports import Mismatch, VerificationReport, compare_series
 from .identities import (
     battery,
-    compare_series,
     interior_grid,
     verify_berger,
     verify_boundary_half,

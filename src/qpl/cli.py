@@ -15,10 +15,12 @@ import json
 import sys
 
 from .divisors import (
+    DivisorTable,
     apostol_convolution_check,
-    divisor_sum,
+    divisor_table,
     kim_identity_check,
     recursive_divisor_sums,
+    shift_formula_divisor_sums,
 )
 from .errors import OracleBoundError, ParameterError
 from .figurate import ModularParams, figurate_enumerate
@@ -33,16 +35,12 @@ from .identities import (
 )
 from .partitions import (
     CountMode,
-    SequenceTable,
     bounded_mult_shift_identity,
     gf_count,
     oracle_bound,
     oracle_table,
     partition_shift_identities,
-    recursive_count_bounded_jbar,
-    recursive_count_distinct_j,
-    recursive_count_j,
-    recursive_count_jbar,
+    recursion_table,
 )
 from .partsets import PartSet, parse_part_set
 from .theta import ThetaPoint, quasi_periodicity_residual, theta_class
@@ -104,41 +102,18 @@ def _mode_from_args(args) -> CountMode:
     return CountMode(args.d, signed)
 
 
-def _recursion_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
-    if part_set.scale != 1:
-        raise ParameterError("no recursion is wired for scaled part sets")
-    params = part_set.params
-    if part_set.kind == "Jbar":
-        if mode.max_multiplicity is None and not mode.length_signed:
-            return recursive_count_jbar(params, order)
-        if mode.max_multiplicity is not None and not mode.length_signed:
-            return recursive_count_bounded_jbar(params, mode.max_multiplicity, order)
-        raise ParameterError(
-            "recursions on Jbar cover unrestricted and at-most-d plain counts"
-        )
-    if part_set.kind == "J":
-        if mode.max_multiplicity is None:
-            return recursive_count_j(params, mode.gamma, order)
-        if mode.max_multiplicity == 1:
-            return recursive_count_distinct_j(params, mode.gamma, order)
-        raise ParameterError(
-            "recursions on J cover unrestricted and distinct counts (either sign)"
-        )
-    raise ParameterError(
-        f"no recursion is wired for part sets of kind {part_set.kind!r}"
-    )
-
-
 def _cmd_partitions(args) -> int:
     part_set = parse_part_set(args.set)
     mode = _mode_from_args(args)
     order = args.n
+    if order < 0:
+        raise ParameterError("--n must be non-negative")
     if args.check:
         tables = {"gf": gf_count(part_set, mode, order).values}
         if order <= oracle_bound():
             tables["oracle"] = oracle_table(part_set, mode, order).values
         try:
-            tables["recursion"] = _recursion_table(part_set, mode, order).values
+            tables["recursion"] = recursion_table(part_set, mode, order).values
         except ParameterError:
             pass
         methods = sorted(tables)
@@ -169,7 +144,7 @@ def _cmd_partitions(args) -> int:
     elif args.method == "gf":
         table = gf_count(part_set, mode, order)
     else:
-        table = _recursion_table(part_set, mode, order)
+        table = recursion_table(part_set, mode, order)
     if args.format == "json":
         payload = {
             "schema": 1,
@@ -190,40 +165,32 @@ def _cmd_partitions(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _divisor_values(params: ModularParams, order: int, method: str) -> list[int]:
-    jbar = PartSet.with_multiples(params.k, params.ell)
+def _divisor_table(params: ModularParams, order: int, method: str) -> DivisorTable:
     if method == "scan":
-        return [divisor_sum(jbar, n) for n in range(1, order + 1)]
+        return divisor_table(PartSet.with_multiples(params.k, params.ell), order)
     if method == "recursion":
-        return list(recursive_divisor_sums(params, order).values[1:])
-    # figurate-shift formula unwound from the generating-function relation
-    p = gf_count(jbar, CountMode(), order).values
-    out = []
-    for n in range(1, order + 1):
-        total = 0
-        for j, v in figurate_enumerate(params, n):
-            if j != 0:
-                total += (v if j % 2 else -v) * p[n - v]
-        out.append(total)
-    return out
+        return recursive_divisor_sums(params, order)
+    return shift_formula_divisor_sums(params, order)
 
 
 def _cmd_divisors(args) -> int:
     params = ModularParams(args.k, args.ell)
     order = args.n
+    if order < 0:
+        raise ParameterError("--n must be non-negative")
     if args.check:
         methods = ["kim", "recursion", "scan"]
-        tables = {m: _divisor_values(params, order, m) for m in methods}
+        tables = {m: _divisor_table(params, order, m).values for m in methods}
         agree = True
         rows = []
-        for i in range(order):
-            vals = [tables[m][i] for m in methods]
+        for n in range(1, order + 1):
+            vals = [tables[m][n] for m in methods]
             ok = len(set(vals)) == 1
             agree = agree and ok
-            rows.append([i + 1, *vals, "yes" if ok else "NO"])
+            rows.append([n, *vals, "yes" if ok else "NO"])
         _emit(_csv_text(["n", *methods, "agree"], rows), args.output)
         return EXIT_OK if agree else EXIT_FAIL
-    values = _divisor_values(params, order, args.method)
+    values = _divisor_table(params, order, args.method).values[1:]
     if args.format == "json":
         payload = {"schema": 1, "values": [str(v) for v in values]}
         _emit(_json_text(payload), args.output)
@@ -248,9 +215,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if not sep:
         raise ParameterError(f"grid must look like k=3..8, got {text!r}")
     try:
-        return int(lo), int(hi)
+        lo_k, hi_k = int(lo), int(hi)
     except ValueError:
         raise ParameterError(f"grid must look like k=3..8, got {text!r}") from None
+    if lo_k > hi_k:
+        raise ParameterError(f"grid {text!r} is empty: its lower end exceeds its upper end")
+    return lo_k, hi_k
 
 
 def _single_verification(args):
@@ -271,7 +241,7 @@ def _single_verification(args):
     if name == "partition_shift":
         return partition_shift_identities(params, args.gamma, args.order)
     if name == "bounded_mult_shift":
-        return bounded_mult_shift_identity(params, args.d or 1, args.order)
+        return bounded_mult_shift_identity(params, args.d, args.order)
     if name == "apostol":
         return apostol_convolution_check(params, args.order)
     if name == "kim":
@@ -391,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--sign", type=int, choices=(1, -1), default=1)
     ver.add_argument("--gamma", type=int, choices=(1, -1), default=1)
     ver.add_argument("--s", type=int, default=3)
-    ver.add_argument("--d", type=int, default=None)
+    ver.add_argument("--d", type=int, default=1)
     ver.add_argument("--jobs", type=int, default=1)
     _add_io_flags(ver, "json")
     ver.set_defaults(func=_cmd_verify)

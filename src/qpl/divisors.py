@@ -15,8 +15,15 @@ from math import isqrt
 from . import reports
 from .figurate import ModularParams, figurate_enumerate, figurate_index_map, require_interior
 from .partsets import PartSet
-from .partitions import SIGNED_DISTINCT, UNRESTRICTED, gf_count
-from .reports import VerificationReport
+from .partitions import (
+    SIGNED_DISTINCT,
+    UNRESTRICTED,
+    _alternating,
+    _run_two_branch,
+    _shifts,
+    gf_count,
+)
+from .reports import VerificationReport, compare_series
 from .series import QSeries
 
 
@@ -76,25 +83,36 @@ def recursive_divisor_sums(params: ModularParams, order: int) -> DivisorTable:
     with f vanishing at zero and below.
     """
     require_interior(params, "the divisor-sum recursion")
-    shifts = sorted(
-        (v, 1 if j % 2 else -1)
-        for j, v in figurate_enumerate(params, order)
-        if j != 0
-    )
     extra = {
         v: (v if i % 2 else -v)
         for v, i in figurate_index_map(params, order).items()
         if v >= 1
     }
+    values = _run_two_branch(order, _shifts(params, order, _alternating), extra, 0)
+    return DivisorTable(values, PartSet.with_multiples(params.k, params.ell))
+
+
+def shift_formula_divisor_sums(params: ModularParams, order: int) -> DivisorTable:
+    """f(n) by the figurate-shift formula unwound from F = -(q·g1')·f:
+
+        f(n) = sum_{j != 0} (-1)^{j-1} M(j) · p(n - M(j); Jbar)
+
+    with p the unrestricted counts from their generating function.
+    """
+    jbar = PartSet.with_multiples(params.k, params.ell)
+    p = gf_count(jbar, UNRESTRICTED, order).values
+    shifts = sorted(
+        (v, v if j % 2 else -v) for j, v in figurate_enumerate(params, order) if j != 0
+    )
     vals = [0] * (order + 1)
     for n in range(1, order + 1):
-        acc = extra.get(n, 0)
+        total = 0
         for off, w in shifts:
-            if off >= n:
+            if off > n:
                 break
-            acc += w * vals[n - off]
-        vals[n] = acc
-    return DivisorTable(tuple(vals), PartSet.with_multiples(params.k, params.ell))
+            total += w * p[n - off]
+        vals[n] = total
+    return DivisorTable(tuple(vals), jbar)
 
 
 def apostol_convolution_check(params: ModularParams, order: int) -> VerificationReport:
@@ -122,11 +140,9 @@ def kim_identity_check(params: ModularParams, order: int) -> VerificationReport:
 
     g1 is the signed distinct generating function, f the unrestricted one,
     F the divisor-sum generating function.  Since g1 is supported on the
-    figurate numbers with signs (-1)^j, expanding -(q·g1')·f yields
-
-        f(n) = sum_{j != 0} (-1)^{j-1} M(j) · p(n - M(j); Jbar),
-
-    which is checked value-by-value against direct divisor scans.
+    figurate numbers with signs (-1)^j, expanding -(q·g1')·f yields the
+    formula of shift_formula_divisor_sums, which is checked value by value
+    against direct divisor scans.
     """
     require_interior(params, "the divisor-sum identity check")
     parameters = {"k": params.k, "ell": params.ell}
@@ -134,22 +150,10 @@ def kim_identity_check(params: ModularParams, order: int) -> VerificationReport:
 
     g1 = gf_count(jbar, SIGNED_DISTINCT, order).to_series()
     f_series = gf_count(jbar, UNRESTRICTED, order).to_series()
-    big_f = divisor_series(jbar, order)
+    scan = divisor_series(jbar, order)
 
-    lhs = big_f
-    rhs = g1.q_dq().scale(-1) * f_series
-    for n in range(order + 1):
-        if lhs[n] != rhs[n]:
-            return reports.failed("kim", parameters, order, n, lhs[n], rhs[n])
-
-    p = gf_count(jbar, UNRESTRICTED, order).values
-    for n in range(1, order + 1):
-        total = 0
-        for j, v in figurate_enumerate(params, n):
-            if j == 0:
-                continue
-            total += (v if j % 2 else -v) * p[n - v]
-        scan = divisor_sum(jbar, n)
-        if total != scan:
-            return reports.failed("kim", parameters, order, n, scan, total)
-    return reports.passed("kim", parameters, order)
+    rep = compare_series("kim", parameters, order, scan, g1.q_dq().scale(-1) * f_series)
+    if not rep.passed:
+        return rep
+    formula = shift_formula_divisor_sums(params, order).to_series()
+    return compare_series("kim", parameters, order, scan, formula)

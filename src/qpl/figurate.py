@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import comb
 
 from .errors import ParameterError
 from .series import QSeries
@@ -51,10 +50,6 @@ class ModularParams:
     @property
     def is_interior(self) -> bool:
         return self.boundary_class is BoundaryClass.INTERIOR
-
-    def reflected(self) -> "ModularParams":
-        """The symmetric pair (k, k - ell)."""
-        return ModularParams(self.k, self.k - self.ell)
 
     def scaled(self, c: int) -> "ModularParams":
         if c < 1:
@@ -130,6 +125,18 @@ def figurate_enumerate(params: ModularParams, bound: int) -> list[tuple[int, int
         j -= 1
     out.sort(key=lambda t: (t[1], t[0]))
     return out
+
+
+def signed_figurate_series(params: ModularParams, sign: int, order: int) -> QSeries:
+    """sum_j sign^j q^{M(j)} over all integers j with M(j) <= order.
+
+    Colliding indices at the boundary classes add up.  The scaled forms
+    sum_j sign^j q^{c·M(j)} are this series dilated by c.
+    """
+    coeffs = [0] * (order + 1)
+    for j, v in figurate_enumerate(params, order):
+        coeffs[v] += sign if j % 2 else 1
+    return QSeries(tuple(coeffs))
 
 
 def figurate_index_map(params: ModularParams, bound: int) -> dict[int, int]:
@@ -229,9 +236,3 @@ def gaussian_binomial(n: int, m: int) -> QPolynomial:
         raise ParameterError("n must be non-negative")
     return QPolynomial(_gauss_coeffs(n, int(m)))
 
-
-def gaussian_binomial_value_at_one(n: int, m: int) -> int:
-    """Ordinary binomial coefficient, the q = 1 specialization."""
-    if m < 0 or m > n:
-        return 0
-    return comb(n, m)

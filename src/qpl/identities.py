@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import reports
 from .divisors import apostol_convolution_check, kim_identity_check
@@ -17,8 +17,8 @@ from .errors import ParameterError
 from .figurate import (
     ModularParams,
     figurate,
-    figurate_enumerate,
     gaussian_binomial,
+    signed_figurate_series,
 )
 from .partsets import PartSet
 from .partitions import (
@@ -28,25 +28,8 @@ from .partitions import (
     gf_count,
     partition_shift_identities,
 )
-from .reports import VerificationReport
+from .reports import VerificationReport, compare_series, first_diff
 from .series import QSeries, ZLaurentSeries, triple_pochhammer
-
-
-def _first_diff(lhs: QSeries, rhs: QSeries) -> int | None:
-    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if a != b:
-            return n
-    return None
-
-
-def compare_series(
-    identity: str, parameters: dict, order: int, lhs: QSeries, rhs: QSeries
-) -> VerificationReport:
-    """Exact coefficient comparison; a fail pinpoints the first bad exponent."""
-    n = _first_diff(lhs, rhs)
-    if n is None:
-        return reports.passed(identity, parameters, order)
-    return reports.failed(identity, parameters, order, n, lhs[n], rhs[n])
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +92,7 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
         )
         got = product.zcoeff(j)
         if got != expected:
-            n = _first_diff(got, expected)
+            n = first_diff(got, expected)
             return reports.failed(
                 "triple_product", parameters, n_ord, n, got[n], expected[n], z_exponent=j
             )
@@ -119,14 +102,6 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
 # --------------------------------------------------------------------------
 # One-variable specializations
 # --------------------------------------------------------------------------
-
-
-def _signed_indicator(params: ModularParams, sign: int, order: int) -> QSeries:
-    """sum over all integers j of sign^j q^{M(j)}; colliding indices add up."""
-    coeffs = [0] * (order + 1)
-    for j, v in figurate_enumerate(params, order):
-        coeffs[v] += sign if j % 2 else 1
-    return QSeries(tuple(coeffs))
 
 
 def verify_specialized(
@@ -141,7 +116,7 @@ def verify_specialized(
     if sign not in (1, -1):
         raise ParameterError("sign must be +1 or -1")
     lhs = triple_pochhammer(params.k, params.ell, sign, q_order)
-    rhs = _signed_indicator(params, sign, q_order)
+    rhs = signed_figurate_series(params, sign, q_order)
     return compare_series(
         "specialized",
         {"k": params.k, "ell": params.ell, "sign": sign},
@@ -170,13 +145,10 @@ def verify_berger(k: int, q_order: int) -> VerificationReport:
 # --------------------------------------------------------------------------
 
 _HERMITE_GRID = (ModularParams(3, 1), ModularParams(4, 1), ModularParams(5, 2))
+_HERMITE_MAX_S = 6
 
 
-def verify_hermite(
-    s: int,
-    substitution_grid: Sequence[ModularParams] = _HERMITE_GRID,
-    max_s: int = 6,
-) -> VerificationReport:
+def verify_hermite(s: int) -> VerificationReport:
     """Exact check of the finite two-variable product identity
 
         prod_{m=1}^{s} (1+q^m z^{-1})(1+q^{m-1}z)
@@ -189,8 +161,8 @@ def verify_hermite(
     """
     if s < 0:
         raise ParameterError("s must be non-negative")
-    if s > max_s:
-        raise ParameterError(f"s is capped at {max_s} for the exact expansion")
+    if s > _HERMITE_MAX_S:
+        raise ParameterError(f"s is capped at {_HERMITE_MAX_S} for the exact expansion")
     parameters = {"s": s}
     order = max(s * s, 0)
 
@@ -205,7 +177,7 @@ def verify_hermite(
         expected = poly.to_series(order).shift(e) if e <= order else QSeries.zero(order)
         got = lhs.zcoeff(j)
         if got != expected:
-            n = _first_diff(got, expected)
+            n = first_diff(got, expected)
             return reports.failed(
                 "hermite", parameters, order, n, got[n], expected[n], z_exponent=j
             )
@@ -219,7 +191,7 @@ def verify_hermite(
             )
 
     if s >= 1:
-        for params in substitution_grid:
+        for params in _HERMITE_GRID:
             rep = _verify_hermite_substituted(params, s)
             if not rep.passed:
                 return rep
@@ -245,16 +217,11 @@ def _verify_hermite_substituted(params: ModularParams, s: int) -> VerificationRe
             if j % 2 and gamma == -1:
                 term = term.scale(-1)
             rhs = rhs + term
-        n = _first_diff(lhs, rhs)
-        if n is not None:
-            return reports.failed(
-                "hermite",
-                {"s": s, "k": k, "ell": ell, "gamma": gamma},
-                order,
-                n,
-                lhs[n],
-                rhs[n],
-            )
+        rep = compare_series(
+            "hermite", {"s": s, "k": k, "ell": ell, "gamma": gamma}, order, lhs, rhs
+        )
+        if not rep.passed:
+            return rep
     return reports.passed("hermite", {"s": s, "k": k, "ell": ell}, order)
 
 
@@ -315,7 +282,7 @@ def verify_sylvester(params: ModularParams, q_order: int) -> VerificationReport:
     lhs = gf_count(
         PartSet.with_multiples(params.k, params.ell), SIGNED_DISTINCT, q_order
     ).to_series()
-    rhs = _signed_indicator(params, -1, q_order)
+    rhs = signed_figurate_series(params, -1, q_order)
     return compare_series(
         "sylvester", {"k": params.k, "ell": params.ell}, q_order, lhs, rhs
     )
@@ -337,14 +304,12 @@ def interior_grid(k_lo: int, k_hi: int) -> list[ModularParams]:
     return out
 
 
+_BATTERY_HERMITE_MAX_S = 4
+_BATTERY_D_VALUES = (1, 2, 3)
+
+
 def battery(
-    k_lo: int,
-    k_hi: int,
-    order: int,
-    z_window: int = 8,
-    hermite_max_s: int = 4,
-    d_values: Sequence[int] = (1, 2, 3),
-    jobs: int = 1,
+    k_lo: int, k_hi: int, order: int, z_window: int = 8, jobs: int = 1
 ) -> list[VerificationReport]:
     """Run every verification over a k-grid; deterministic task order.
 
@@ -353,7 +318,7 @@ def battery(
     """
     tasks: list[Callable[[], VerificationReport]] = []
     tasks.append(partial(verify_triple_product, order, z_window))
-    for s in range(hermite_max_s + 1):
+    for s in range(_BATTERY_HERMITE_MAX_S + 1):
         tasks.append(partial(verify_hermite, s))
     for k in range(k_lo, k_hi + 1):
         tasks.append(partial(verify_berger, k, order))
@@ -368,7 +333,7 @@ def battery(
         tasks.append(partial(verify_sylvester, params, order))
         for gamma in (1, -1):
             tasks.append(partial(partition_shift_identities, params, gamma, order))
-        for d in d_values:
+        for d in _BATTERY_D_VALUES:
             tasks.append(partial(bounded_mult_shift_identity, params, d, order))
         tasks.append(partial(apostol_convolution_check, params, order))
         tasks.append(partial(kim_identity_check, params, order))

@@ -16,16 +16,16 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from . import reports
 from .errors import OracleBoundError, ParameterError
 from .figurate import (
     ModularParams,
     figurate_enumerate,
     figurate_index_map,
     require_interior,
+    signed_figurate_series,
 )
 from .partsets import PartSet
-from .reports import VerificationReport
+from .reports import VerificationReport, compare_series
 from .series import QSeries, triple_pochhammer
 
 DEFAULT_ORACLE_BOUND = 120
@@ -237,10 +237,11 @@ def _shifts(params: ModularParams, order: int, weight) -> list[tuple[int, int]]:
 
 
 def _run_two_branch(
-    order: int, shifts: list[tuple[int, int]], extra: dict[int, int]
+    order: int, shifts: list[tuple[int, int]], extra: dict[int, int], at_zero: int
 ) -> tuple[int, ...]:
+    """vals[n] = extra[n] + sum of w·vals[n - off] over the shifts, from vals[0] = at_zero."""
     vals = [0] * (order + 1)
-    vals[0] = 1
+    vals[0] = at_zero
     for n in range(1, order + 1):
         acc = extra.get(n, 0)
         for off, w in shifts:
@@ -260,7 +261,7 @@ def recursive_count_jbar(params: ModularParams, order: int) -> SequenceTable:
     """p(n; residues-with-multiples) by the Euler-style recursion
     p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j))."""
     require_interior(params, "the unrestricted-count recursion")
-    values = _run_two_branch(order, _shifts(params, order, _alternating), {})
+    values = _run_two_branch(order, _shifts(params, order, _alternating), {}, 1)
     return SequenceTable(
         values, RECURSION, f"Jbar:{params.k},{params.ell};unrestricted"
     )
@@ -289,7 +290,7 @@ def recursive_count_quotient(
         for v, i in figurate_index_map(params2, order).items()
         if v >= 1
     }
-    values = _run_two_branch(order, _shifts(params1, order, weight), extra)
+    values = _run_two_branch(order, _shifts(params1, order, weight), extra, 1)
     descriptor = (
         f"quotient:({params1.k},{params1.ell},{gamma1:+d})/"
         f"({params2.k},{params2.ell},{gamma2:+d})"
@@ -321,7 +322,7 @@ def recursive_count_distinct_j(
         for v, i in figurate_index_map(params, order).items()
         if v >= 1
     }
-    values = _run_two_branch(order, shifts, extra)
+    values = _run_two_branch(order, shifts, extra, 1)
     return SequenceTable(
         values, RECURSION, f"J:{params.k},{params.ell};distinct;gamma={gamma:+d}"
     )
@@ -344,7 +345,7 @@ def recursive_count_j(params: ModularParams, gamma: int, order: int) -> Sequence
     for i, v in figurate_enumerate(ModularParams(3, 1), order // k):
         if i != 0 and 1 <= k * v <= order:
             extra[k * v] = -1 if i % 2 else 1
-    values = _run_two_branch(order, _shifts(params, order, weight), extra)
+    values = _run_two_branch(order, _shifts(params, order, weight), extra, 1)
     return SequenceTable(
         values, RECURSION, f"J:{params.k},{params.ell};unrestricted;gamma={gamma:+d}"
     )
@@ -364,40 +365,44 @@ def recursive_count_bounded_jbar(
     for v, i in figurate_index_map(params, order // (d + 1)).items():
         if (d + 1) * v >= 1:
             extra[(d + 1) * v] = -1 if i % 2 else 1
-    values = _run_two_branch(order, _shifts(params, order, _alternating), extra)
+    values = _run_two_branch(order, _shifts(params, order, _alternating), extra, 1)
     return SequenceTable(
         values, RECURSION, f"Jbar:{params.k},{params.ell};atmost{d}"
+    )
+
+
+def recursion_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
+    """The recursion route for a part set and counting mode.
+
+    Raises ParameterError for the combinations no recursion covers.
+    """
+    if part_set.scale != 1:
+        raise ParameterError("no recursion is wired for scaled part sets")
+    params = part_set.params
+    if part_set.kind == "Jbar":
+        if mode.max_multiplicity is None and not mode.length_signed:
+            return recursive_count_jbar(params, order)
+        if mode.max_multiplicity is not None and not mode.length_signed:
+            return recursive_count_bounded_jbar(params, mode.max_multiplicity, order)
+        raise ParameterError(
+            "recursions on Jbar cover unrestricted and at-most-d plain counts"
+        )
+    if part_set.kind == "J":
+        if mode.max_multiplicity is None:
+            return recursive_count_j(params, mode.gamma, order)
+        if mode.max_multiplicity == 1:
+            return recursive_count_distinct_j(params, mode.gamma, order)
+        raise ParameterError(
+            "recursions on J cover unrestricted and distinct counts (either sign)"
+        )
+    raise ParameterError(
+        f"no recursion is wired for part sets of kind {part_set.kind!r}"
     )
 
 
 # --------------------------------------------------------------------------
 # Identities between partition families
 # --------------------------------------------------------------------------
-
-
-def _signed_figurate_indicator(params: ModularParams, sign: int, order: int) -> QSeries:
-    """sum_j sign^j q^{M(j)} over all integers j with M(j) <= order."""
-    coeffs = [0] * (order + 1)
-    for j, v in figurate_enumerate(params, order):
-        coeffs[v] += sign if j % 2 else 1
-    return QSeries(tuple(coeffs))
-
-
-def _scaled_pentagonal_indicator(k: int, order: int, stretch: int = 1) -> QSeries:
-    """sum_j (-1)^j q^{stretch·k·ω(j)} truncated at the order."""
-    coeffs = [0] * (order + 1)
-    for j, v in figurate_enumerate(ModularParams(3, 1), order // (stretch * k)):
-        e = stretch * k * v
-        if e <= order:
-            coeffs[e] += -1 if j % 2 else 1
-    return QSeries(tuple(coeffs))
-
-
-def _first_diff(lhs: QSeries, rhs: QSeries) -> int | None:
-    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if a != b:
-            return n
-    return None
 
 
 def partition_shift_identities(
@@ -422,21 +427,18 @@ def partition_shift_identities(
     mult_set = PartSet.multiples(k)
 
     lhs1 = gf_count(j_set, CountMode(1, gamma == -1), order).to_series()
-    rhs1 = _signed_figurate_indicator(params, gamma, order) * gf_count(
+    rhs1 = signed_figurate_series(params, gamma, order) * gf_count(
         mult_set, UNRESTRICTED, order
     ).to_series()
-    n = _first_diff(lhs1, rhs1)
-    if n is not None:
-        return reports.failed(ident, parameters, order, n, lhs1[n], rhs1[n])
+    rep = compare_series(ident, parameters, order, lhs1, rhs1)
+    if not rep.passed:
+        return rep
 
     lhs2 = gf_count(j_set, UNRESTRICTED, order).to_series()
-    rhs2 = _scaled_pentagonal_indicator(k, order) * gf_count(
+    rhs2 = signed_figurate_series(ModularParams(3, 1), -1, order).dilate(k) * gf_count(
         jbar_set, UNRESTRICTED, order
     ).to_series()
-    n = _first_diff(lhs2, rhs2)
-    if n is not None:
-        return reports.failed(ident, parameters, order, n, lhs2[n], rhs2[n])
-    return reports.passed(ident, parameters, order)
+    return compare_series(ident, parameters, order, lhs2, rhs2)
 
 
 def bounded_mult_shift_identity(
@@ -453,13 +455,7 @@ def bounded_mult_shift_identity(
     jbar_set = PartSet.with_multiples(params.k, params.ell)
 
     lhs = gf_count(jbar_set, at_most(d), order).to_series()
-    coeffs = [0] * (order + 1)
-    for j, v in figurate_enumerate(params, order // (d + 1)):
-        e = (d + 1) * v
-        if e <= order:
-            coeffs[e] += -1 if j % 2 else 1
-    rhs = QSeries(tuple(coeffs)) * gf_count(jbar_set, UNRESTRICTED, order).to_series()
-    n = _first_diff(lhs, rhs)
-    if n is not None:
-        return reports.failed("bounded_mult_shift", parameters, order, n, lhs[n], rhs[n])
-    return reports.passed("bounded_mult_shift", parameters, order)
+    rhs = signed_figurate_series(params, -1, order).dilate(d + 1) * gf_count(
+        jbar_set, UNRESTRICTED, order
+    ).to_series()
+    return compare_series("bounded_mult_shift", parameters, order, lhs, rhs)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .series import QSeries
+
 
 @dataclass(frozen=True, slots=True)
 class Mismatch:
@@ -66,3 +68,21 @@ def failed(
         False,
         Mismatch(q_exponent, lhs, rhs, z_exponent),
     )
+
+
+def first_diff(lhs: QSeries, rhs: QSeries) -> int | None:
+    """The first q-exponent where the two series differ, or None."""
+    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if a != b:
+            return n
+    return None
+
+
+def compare_series(
+    identity: str, parameters: dict, order: int, lhs: QSeries, rhs: QSeries
+) -> VerificationReport:
+    """Exact coefficient comparison; a fail pinpoints the first bad exponent."""
+    n = first_diff(lhs, rhs)
+    if n is None:
+        return passed(identity, parameters, order)
+    return failed(identity, parameters, order, n, lhs[n], rhs[n])

@@ -314,14 +314,6 @@ class ZLaurentSeries:
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.zcoeffs)
 
-    def same_series(self, other: "ZLaurentSeries") -> bool:
-        """Coefficient-wise equality across the union of the two supports."""
-        if self.order != other.order:
-            return False
-        lo = min(self.zlo, other.zlo)
-        hi = max(self.zhi, other.zhi)
-        return all(self.zcoeff(j) == other.zcoeff(j) for j in range(lo, hi + 1))
-
     # arithmetic ------------------------------------------------------------------
 
     def __add__(self, other: "ZLaurentSeries") -> "ZLaurentSeries":

@@ -88,6 +88,11 @@ class TestPartitions:
         )
         assert code == 2
 
+    def test_negative_n_rejected(self, capsys):
+        code, out, err = run(capsys, "partitions", "--set", "Jbar:3,1", "--n", "-1")
+        assert (code, out) == (2, "")
+        assert "--n" in err
+
     def test_at_most_table(self, capsys):
         code, out, _ = run(
             capsys, "partitions", "--set", "Jbar:3,1", "--mode", "at-most",
@@ -113,6 +118,11 @@ class TestDivisors:
         lines = out.splitlines()
         assert lines[0] == "n,kim,recursion,scan,agree"
         assert all(line.endswith(",yes") for line in lines[1:])
+
+    def test_negative_n_rejected(self, capsys):
+        code, out, err = run(capsys, "divisors", "--k", "3", "--ell", "1", "--n", "-2")
+        assert (code, out) == (2, "")
+        assert "--n" in err
 
     def test_boundary_rejected(self, capsys):
         code, _, err = run(
@@ -181,6 +191,26 @@ class TestVerify:
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "verify", "--all", "--grid", "m=1..2")
         assert code == 2
+
+    def test_empty_grid_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--all", "--grid", "k=8..3")
+        assert (code, out) == (2, "")
+        assert "k=8..3" in err
+
+    def test_bounded_mult_shift_d_zero_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--identity", "bounded_mult_shift", "--d", "0",
+            "--order", "20",
+        )
+        assert (code, out) == (2, "")
+        assert "d must be >= 1" in err
+
+    def test_bounded_mult_shift_d_defaults_to_one(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--identity", "bounded_mult_shift", "--order", "20"
+        )
+        assert code == 0
+        assert json.loads(out)[0]["parameters"]["d"] == 1
 
     def test_missing_action(self, capsys):
         code, _, _ = run(capsys, "verify")

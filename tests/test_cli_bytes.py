@@ -1,0 +1,108 @@
+"""CLI byte identity: stdout digest and exit status for a fixed set of invocations.
+
+The digests were taken from the code before the duplicated route and
+verifier helpers were merged; any change to a printed byte fails here.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from qpl.cli import main
+
+_SETS = (
+    ("--set", "Jbar:3,1"),
+    ("--set", "J:4,1", "--mode", "distinct", "--gamma", "-1"),
+    ("--set", "Jbar:3,1", "--mode", "at-most", "--d", "2"),
+)
+_DIVISORS = ("divisors", "--k", "5", "--ell", "2", "--n", "40")
+_IDENTITIES = (
+    ("triple_product",),
+    ("specialized", "--k", "7", "--ell", "2", "--sign", "-1"),
+    ("berger", "--k", "5"),
+    ("hermite", "--s", "3"),
+    ("boundary_half", "--k", "4"),
+    ("sylvester", "--k", "5", "--ell", "2"),
+    ("partition_shift", "--k", "4", "--ell", "1", "--gamma", "-1"),
+    ("bounded_mult_shift", "--k", "4", "--ell", "1", "--d", "2"),
+    ("apostol", "--k", "4", "--ell", "1"),
+    ("kim", "--k", "5", "--ell", "2"),
+)
+
+INVOCATIONS = (
+    [
+        ("partitions", *s, "--n", "30", *tail)
+        for s in _SETS
+        for tail in (
+            ("--method", "oracle"),
+            ("--method", "gf"),
+            ("--method", "recursion"),
+            ("--check",),
+        )
+    ]
+    + [
+        (*_DIVISORS, *tail)
+        for tail in (
+            ("--method", "scan"),
+            ("--method", "recursion"),
+            ("--method", "kim"),
+            ("--method", "scan", "--format", "json"),
+            ("--method", "recursion", "--format", "json"),
+            ("--method", "kim", "--format", "json"),
+            ("--check",),
+        )
+    ]
+    + [("divisors", "--k", "4", "--ell", "2", "--n", "20", "--method", "kim")]
+    + [("verify", "--identity", *ident, "--order", "60") for ident in _IDENTITIES]
+    + [("verify", "--all", "--grid", "k=3..5", "--order", "60")]
+)
+
+# " ".join(argv) -> (exit status, sha256 of stdout)
+DIGESTS = {
+    "partitions --set Jbar:3,1 --n 30 --method oracle": (0, "5c5df683b6bcb11d14ee182e31b455d2e60c911a7c9403646d92f19c46a8fc8e"),
+    "partitions --set Jbar:3,1 --n 30 --method gf": (0, "5c5df683b6bcb11d14ee182e31b455d2e60c911a7c9403646d92f19c46a8fc8e"),
+    "partitions --set Jbar:3,1 --n 30 --method recursion": (0, "5c5df683b6bcb11d14ee182e31b455d2e60c911a7c9403646d92f19c46a8fc8e"),
+    "partitions --set Jbar:3,1 --n 30 --check": (0, "6900c826d780101fc3605a1e931d351c8df2516980eeee7d6c13803b6924ce4c"),
+    "partitions --set J:4,1 --mode distinct --gamma -1 --n 30 --method oracle": (0, "05ce9adea9b9b6caf9046c0cf392c6a0c5f502cc7b72995eab58e7e47c3de51b"),
+    "partitions --set J:4,1 --mode distinct --gamma -1 --n 30 --method gf": (0, "05ce9adea9b9b6caf9046c0cf392c6a0c5f502cc7b72995eab58e7e47c3de51b"),
+    "partitions --set J:4,1 --mode distinct --gamma -1 --n 30 --method recursion": (0, "05ce9adea9b9b6caf9046c0cf392c6a0c5f502cc7b72995eab58e7e47c3de51b"),
+    "partitions --set J:4,1 --mode distinct --gamma -1 --n 30 --check": (0, "8df0710c59252c6e7d62179de7edd25eb34d14d14bfd2aa371dd615294a5556b"),
+    "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --method oracle": (0, "48231d16487fca7531265ff3e161fd0f869bd04963facbda2ebc4259eba280ac"),
+    "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --method gf": (0, "48231d16487fca7531265ff3e161fd0f869bd04963facbda2ebc4259eba280ac"),
+    "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --method recursion": (0, "48231d16487fca7531265ff3e161fd0f869bd04963facbda2ebc4259eba280ac"),
+    "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --check": (0, "2e19fed2c20f3f0a0d4acbb7eec5b184af2b71b754992a67da6fc5f7ba5c4c13"),
+    "divisors --k 5 --ell 2 --n 40 --method scan": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
+    "divisors --k 5 --ell 2 --n 40 --method recursion": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
+    "divisors --k 5 --ell 2 --n 40 --method kim": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
+    "divisors --k 5 --ell 2 --n 40 --method scan --format json": (0, "bb7fa5e8f37423ad288031613265b094c6c56a518258989111dd9790e11862d5"),
+    "divisors --k 5 --ell 2 --n 40 --method recursion --format json": (0, "bb7fa5e8f37423ad288031613265b094c6c56a518258989111dd9790e11862d5"),
+    "divisors --k 5 --ell 2 --n 40 --method kim --format json": (0, "bb7fa5e8f37423ad288031613265b094c6c56a518258989111dd9790e11862d5"),
+    "divisors --k 5 --ell 2 --n 40 --check": (0, "fe7ef0ac6ad2a5e50113c79aa85aaf27c4ff6b3643c54d1d4106222ee22461fa"),
+    "divisors --k 4 --ell 2 --n 20 --method kim": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify --identity triple_product --order 60": (0, "b68287d2fc9e2d35330bf040162a40cd682b64da9c40694747e1582eb6f5be69"),
+    "verify --identity specialized --k 7 --ell 2 --sign -1 --order 60": (0, "1e21c3165d7c17e5409f6e684ed1f2a75bc01bb89ad75a99601b39c9d2d4171c"),
+    "verify --identity berger --k 5 --order 60": (0, "a12248806862cf7bddf0f9dc71bad499f5d4f6e546047122afd54df43acc3f18"),
+    "verify --identity hermite --s 3 --order 60": (0, "e8b7ef811f67f9c259b18c78b69fc5e3690d5ec7d45d080c43df82af00857cb4"),
+    "verify --identity boundary_half --k 4 --order 60": (0, "9448086313ab97d8aef7ba2c5035538040d0f775ca623eee0e0de7fd68f0350c"),
+    "verify --identity sylvester --k 5 --ell 2 --order 60": (0, "f905154c46f19418614a5d8d57cfc0bc63eec4580cbe0c8e7c931c020e35ffe5"),
+    "verify --identity partition_shift --k 4 --ell 1 --gamma -1 --order 60": (0, "bddbd8ed1c6e22051e901ab9b82d5c376b0a5e4a57adfb62c6f910481659351c"),
+    "verify --identity bounded_mult_shift --k 4 --ell 1 --d 2 --order 60": (0, "26147dc8fe98747f8520bdf252b0f911cb1cce02a02c0da23398fd632954e353"),
+    "verify --identity apostol --k 4 --ell 1 --order 60": (0, "e57305a0f376a08192a735c4214de39e036f27a6c7a51b3ba86c5adc56e8a32b"),
+    "verify --identity kim --k 5 --ell 2 --order 60": (0, "a15d69ab5b72aa5652f76904a1b26149d7331eb859def8b567fd3b1f652374f8"),
+    "verify --all --grid k=3..5 --order 60": (0, "0d018e28fe5df92fb926cb2e3384f1ea170183fef1deb7046ab81955566aed0b"),
+}
+
+
+def run_digest(argv) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_stdout_bytes_unchanged(argv, monkeypatch):
+    monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
+    assert run_digest(argv) == DIGESTS[" ".join(argv)]
