@@ -53,9 +53,12 @@ EXIT_USAGE = 2
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --output {path!r}: {exc.strerror}") from None
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -279,15 +282,20 @@ def _parse_complex(text: str) -> complex:
 
 def _cmd_theta(args) -> int:
     point = ThetaPoint.from_qz(_parse_complex(args.q), _parse_complex(args.z))
-    value = theta_class(args.k, args.ell, args.variant, point, args.tol)
-    q_sub = point.q**args.k
-    z_sub = (point.q**args.ell) * point.z
-    if q_sub == 0 or z_sub == 0:
-        residual = None
-    else:
-        residual = quasi_periodicity_residual(
-            ThetaPoint.from_qz(q_sub, z_sub), args.tol
-        )
+    try:
+        value = theta_class(args.k, args.ell, args.variant, point, args.tol)
+        q_sub = point.q**args.k
+        z_sub = (point.q**args.ell) * point.z
+        if q_sub == 0 or z_sub == 0:
+            residual = None
+        else:
+            residual = quasi_periodicity_residual(
+                ThetaPoint.from_qz(q_sub, z_sub), args.tol
+            )
+    except OverflowError:
+        raise ParameterError(
+            f"theta at q={args.q} z={args.z} overflows a float"
+        ) from None
     payload = {
         "schema": 1,
         "variant": args.variant,

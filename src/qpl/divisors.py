@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from . import reports
 from .figurate import ModularParams, figurate_enumerate, figurate_index_map, require_interior
@@ -129,7 +130,7 @@ def apostol_convolution_check(params: ModularParams, order: int) -> Verification
     f = divisor_table(jbar, order).values
     for n in range(1, order + 1):
         lhs = n * r[n]
-        rhs = -f[n] - sum(r[j] * f[n - j] for j in range(1, n))
+        rhs = -f[n] - sum(map(mul, r[1:n], f[n - 1 : 0 : -1]))
         if lhs != rhs:
             return reports.failed("apostol", parameters, order, n, lhs, rhs)
     return reports.passed("apostol", parameters, order)

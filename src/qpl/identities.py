@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from operator import add
 from typing import Callable
 
 from . import reports
@@ -43,46 +44,26 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
 
     Soundness of the finite computation:
 
-    * factor count M = q_order + z_window + 2: a factor with m-1 > q_order
-      multiplies every retained q-exponent past the order, so later factors
-      are invisible;
+    * factors with m-1 > q_order multiply every retained q-exponent past the
+      order, so only m <= q_order + 1 is expanded;
     * the accumulation window is widened to |j| <= z_window + B where
       B(B-1)/2 > q_order: a term that leaves the widened window can only come
       back to the reported window by z-moves with distinct q-costs whose sum
-      exceeds q_order, so clamping never changes a reported coefficient.
+      exceeds q_order, so clamping never changes a reported coefficient;
+    * the z-rows are expanded without the (1-q^m) factors, which are applied
+      afterwards as one product prod_m (1-q^m) (built factor by factor, not
+      from the pentagonal series the identity is about): multiplying every
+      row by the same q-series commutes with the z-shifts, with the window
+      clamp and with truncation at q_order, so the order of the factors
+      cannot change a coefficient;
+    * a term of z^j uses at least |j| z-moves with distinct q-costs, so row j
+      is zero below q^{j(j-1)/2} in every partial product, clamped or not;
+      row updates skip that prefix.
     """
     if q_order < 0 or z_window < 0:
         raise ParameterError("q_order and z_window must be non-negative")
     n_ord, j_win = q_order, z_window
-    b = 2
-    while b * (b - 1) // 2 <= n_ord:
-        b += 1
-    w = j_win + b
-    size = 2 * w + 1
-    rows: list[list[int]] = [[0] * (n_ord + 1) for _ in range(size)]
-    rows[w][0] = 1
-    lo = hi = w  # active row range
-    factors = n_ord + j_win + 2
-    for m in range(1, factors + 1):
-        if m <= n_ord:
-            for idx in range(lo, hi + 1):
-                row = rows[idx]
-                row[m:] = [a - c for a, c in zip(row[m:], row)]
-        e_up = m - 1
-        if e_up <= n_ord:
-            if hi < size - 1:
-                hi += 1
-            # descending so each source row is still the pre-multiply value
-            for idx in range(hi, lo, -1):
-                row, src = rows[idx], rows[idx - 1]
-                row[e_up:] = [a + c for a, c in zip(row[e_up:], src)]
-        if m <= n_ord:
-            if lo > 0:
-                lo -= 1
-            for idx in range(lo, hi):
-                row, src = rows[idx], rows[idx + 1]
-                row[m:] = [a + c for a, c in zip(row[m:], src)]
-    product = ZLaurentSeries(-w, tuple(QSeries(tuple(r)) for r in rows))
+    product = _triple_product_rows(n_ord, j_win)
 
     parameters = {"z_window": j_win}
     for j in range(-j_win, j_win + 1):
@@ -97,6 +78,46 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
                 "triple_product", parameters, n_ord, n, got[n], expected[n], z_exponent=j
             )
     return reports.passed("triple_product", parameters, n_ord)
+
+
+def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
+    """Every row of the windowed triple-product expansion, clamped rows
+    included; the window and the factor order are argued in
+    verify_triple_product."""
+    n = q_order
+    b = 2
+    while b * (b - 1) // 2 <= n:
+        b += 1
+    w = z_window + b
+    size = 2 * w + 1
+    zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
+    rows: list[list[int]] = [[0] * (n + 1) for _ in range(size)]
+    rows[w][0] = 1
+    lo = hi = w  # active row range
+    for m in range(1, n + 2):
+        # (1 + q^{m-1} z), descending so each source row is still the pre-multiply value
+        if hi < size - 1:
+            hi += 1
+        for idx in range(hi, lo, -1):
+            p = zero_below[idx - 1]
+            e = m - 1 + p
+            if e <= n:
+                row = rows[idx]
+                row[e:] = map(add, row[e:], rows[idx - 1][p:])
+        if m <= n:
+            # (1 + q^m z^{-1}), ascending for the same reason
+            if lo > 0:
+                lo -= 1
+            for idx in range(lo, hi):
+                p = zero_below[idx + 1]
+                e = m + p
+                if e <= n:
+                    row = rows[idx]
+                    row[e:] = map(add, row[e:], rows[idx + 1][p:])
+    euler = QSeries.one(n)
+    for m in range(1, n + 1):
+        euler = euler.mul_binomial(-1, m)
+    return ZLaurentSeries(-w, tuple(euler * QSeries(tuple(r)) for r in rows))
 
 
 # --------------------------------------------------------------------------
@@ -313,9 +334,12 @@ def battery(
 ) -> list[VerificationReport]:
     """Run every verification over a k-grid; deterministic task order.
 
-    Tasks are independent and may fan out over worker threads; results are
-    collected in submission order so the report is reproducible byte for byte.
+    Tasks are independent and may fan out over ``jobs`` worker threads;
+    results are collected in submission order so the report is reproducible
+    byte for byte.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     tasks: list[Callable[[], VerificationReport]] = []
     tasks.append(partial(verify_triple_product, order, z_window))
     for s in range(_BATTERY_HERMITE_MAX_S + 1):

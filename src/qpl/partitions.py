@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import OracleBoundError, ParameterError
@@ -185,12 +186,16 @@ def generate_partitions(
 # --------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def gf_count(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
     """Expand the product generating function over members <= order.
 
     Per part m the factor is 1/(1 - γq^m) unrestricted, (1 + γq^m) distinct,
     and (1 - γ^{d+1} q^{(d+1)m})/(1 - γq^m) with a cap of d, where γ is the
     per-occurrence weight.
+
+    Memoized in 16 entries: every repeat in the battery falls within one
+    (k, ell) block of at most 9 keys, and more entries would only hold memory.
     """
     g = mode.gamma
     cap = mode.max_multiplicity

@@ -9,6 +9,8 @@ Coefficients are Python integers throughout, so results are exact at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, sub
 
 from .errors import NotInvertibleError, OrderMismatchError, ParameterError
 
@@ -86,15 +88,22 @@ class QSeries:
         return QSeries(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        """Schoolbook Cauchy product; zero coefficients of the left factor are skipped."""
+        """Schoolbook Cauchy product; zero coefficients of the left factor are skipped.
+
+        Each nonzero left coefficient a adds a·b to the tail out[i:] in one
+        C-level map (a = ±1 needs no multiplication), so a sparse left factor
+        such as an Euler product costs one pass per nonzero term.
+        """
         self._require_same_order(other)
-        n = self.order
-        out = [0] * (n + 1)
+        out = [0] * (self.order + 1)
         b = other.coeffs
         for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n + 1 - i):
-                    out[i + j] += a * b[j]
+            if a == 1:
+                out[i:] = map(add, out[i:], b)
+            elif a == -1:
+                out[i:] = map(sub, out[i:], b)
+            elif a:
+                out[i:] = map(add, out[i:], map(mul, b, repeat(a)))
         return QSeries(tuple(out))
 
     def reciprocal(self) -> "QSeries":
@@ -171,14 +180,14 @@ class QSeries:
             raise ParameterError("binomial factor exponent must be >= 1")
         if exp > self.order:
             return self
-        head = self.coeffs[:exp]
+        c = self.coeffs
         if coeff == 1:
-            tail = tuple(a + b for a, b in zip(self.coeffs[exp:], self.coeffs))
+            tail = tuple(map(add, c[exp:], c))
         elif coeff == -1:
-            tail = tuple(a - b for a, b in zip(self.coeffs[exp:], self.coeffs))
+            tail = tuple(map(sub, c[exp:], c))
         else:
-            tail = tuple(a + coeff * b for a, b in zip(self.coeffs[exp:], self.coeffs))
-        return QSeries(head + tail)
+            tail = tuple(map(add, c[exp:], map(mul, c, repeat(coeff))))
+        return QSeries(c[:exp] + tail)
 
     def div_binomial(self, coeff: int, exp: int) -> "QSeries":
         """Divide by (1 + coeff·q^exp) in O(order) time; exp must be >= 1."""

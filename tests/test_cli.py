@@ -216,6 +216,15 @@ class TestVerify:
         code, _, _ = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_rejected(self, capsys, jobs):
+        code, out, err = run(
+            capsys, "verify", "--all", "--grid", "k=3..3", "--order", "10",
+            "--jobs", jobs,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"qpl: error: jobs must be >= 1, got {jobs}\n"
+
 
 class TestTheta:
     def test_value_and_residual(self, capsys):
@@ -239,6 +248,11 @@ class TestTheta:
         code, _, err = run(capsys, "theta", "--q", "abc", "--z", "1,0")
         assert code == 2
 
+    def test_float_overflow_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "theta", "--q", "0.3,0", "--z", "1e308,0")
+        assert (code, out) == (2, "")
+        assert err.startswith("qpl: error: ") and err.count("\n") == 1
+
 
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
@@ -249,3 +263,14 @@ class TestOutputFile:
         )
         assert code == 0 and out == ""
         assert target.read_text().splitlines() == ["j,value", "0,0", "1,1", "-1,2"]
+
+    def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.csv"
+        code, out, err = run(
+            capsys, "figurate", "--k", "3", "--ell", "1", "--bound", "2",
+            "--output", str(target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("qpl: error: cannot write --output ")
+        assert err.count("\n") == 1
+        assert not target.parent.exists()

@@ -6,10 +6,20 @@ import dataclasses
 import pytest
 
 import qpl.divisors
+import qpl.identities
 import qpl.partitions
-from qpl.divisors import divisor_table, kim_identity_check
+from qpl.divisors import apostol_convolution_check, divisor_table, kim_identity_check
 from qpl.figurate import ModularParams, signed_figurate_series
+from qpl.identities import (
+    verify_berger,
+    verify_boundary_half,
+    verify_hermite,
+    verify_specialized,
+    verify_sylvester,
+    verify_triple_product,
+)
 from qpl.partitions import (
+    SIGNED_DISTINCT,
     UNRESTRICTED,
     CountMode,
     at_most,
@@ -17,15 +27,25 @@ from qpl.partitions import (
     partition_shift_identities,
 )
 from qpl.partsets import PartSet
-from qpl.series import QSeries
+from qpl.series import QSeries, ZLaurentSeries
 
 ORDER = 40
 E = 17
 
 
-def corrupt(monkeypatch, module, name, e, *key):
+@pytest.fixture(autouse=True)
+def fresh_gf_count_memo():
+    """A patched kernel can neither be hidden by a table cached before the
+    test nor leave a corrupted table cached after it."""
+    qpl.partitions.gf_count.cache_clear()
+    yield
+    qpl.partitions.gf_count.cache_clear()
+
+
+def corrupt(monkeypatch, module, name, e, *key, field="values"):
     """Replace module.name so calls whose leading arguments equal ``key`` get
-    one added to the coefficient at exponent e; returns the true value there."""
+    one added to the coefficient at exponent e of the result's ``field``;
+    returns the true value there."""
     real = getattr(module, name)
     truth = []
 
@@ -33,19 +53,19 @@ def corrupt(monkeypatch, module, name, e, *key):
         table = real(*args)
         if args[: len(key)] != key:
             return table
-        values = list(table.values)
+        values = list(getattr(table, field))
         truth.append(values[e])
         values[e] += 1
-        return dataclasses.replace(table, values=tuple(values))
+        return dataclasses.replace(table, **{field: tuple(values)})
 
     monkeypatch.setattr(module, name, corrupted)
     return truth
 
 
-def assert_fails_at(report, e, lhs, rhs):
+def assert_fails_at(report, e, lhs, rhs, z=None):
     out = report.to_json_dict()
     assert out["outcome"] == "fail"
-    assert out["location"] == {"q": e, "z": None}
+    assert out["location"] == {"q": e, "z": z}
     assert (out["lhs"], out["rhs"]) == (str(lhs), str(rhs))
 
 
@@ -89,6 +109,104 @@ def test_kim_formula_stage(monkeypatch):
     rep = kim_identity_check(ModularParams(5, 2), ORDER)
     assert_fails_at(rep, E, truth[0], truth[0] + 1)
     assert truth[0] == divisor_table(PartSet.with_multiples(5, 2), ORDER).values[E]
+
+
+def test_triple_product(monkeypatch):
+    real = qpl.identities._triple_product_rows
+
+    def corrupted(q_order, z_window):
+        product = real(q_order, z_window)
+        rows = list(product.zcoeffs)
+        idx = 2 - product.zlo
+        coeffs = list(rows[idx].coeffs)
+        coeffs[E] += 1
+        rows[idx] = QSeries(tuple(coeffs))
+        return ZLaurentSeries(product.zlo, tuple(rows))
+
+    monkeypatch.setattr(qpl.identities, "_triple_product_rows", corrupted)
+    # z^2 carries q^1 alone, so the bumped coefficient was 0
+    assert_fails_at(verify_triple_product(ORDER, 4), E, 1, 0, z=2)
+
+
+def test_specialized(monkeypatch):
+    truth = corrupt(
+        monkeypatch, qpl.identities, "triple_pochhammer", E, 5, 2, 1, field="coeffs"
+    )
+    rep = verify_specialized(ModularParams(5, 2), 1, ORDER)
+    assert_fails_at(rep, E, truth[0] + 1, truth[0])
+
+
+def test_berger_second_sign(monkeypatch):
+    truth = corrupt(
+        monkeypatch, qpl.identities, "triple_pochhammer", E, 4, 1, -1, field="coeffs"
+    )
+    rep = verify_berger(4, ORDER)
+    assert_fails_at(rep, E, truth[0] + 1, truth[0])
+    assert rep.parameters == {"k": 4, "sign": -1}
+
+
+def test_hermite_product_stage(monkeypatch):
+    # [6 choose 4]_q feeds the z^1 coefficient at s = 3, whose shift q^0 is trivial
+    truth = corrupt(
+        monkeypatch, qpl.identities, "gaussian_binomial", 2, 6, 4, field="coeffs"
+    )
+    rep = verify_hermite(3)
+    assert_fails_at(rep, 2, truth[0], truth[0] + 1, z=1)
+
+
+def test_hermite_substituted_stage(monkeypatch):
+    truth = corrupt(
+        monkeypatch,
+        qpl.identities,
+        "gf_count",
+        E,
+        PartSet.finite_prefix(3, 1, 3),
+        CountMode(1, True),
+    )
+    rep = verify_hermite(3)
+    assert_fails_at(rep, E, truth[0] + 1, truth[0])
+    assert rep.parameters == {"s": 3, "k": 3, "ell": 1, "gamma": -1}
+
+
+def test_boundary_half(monkeypatch):
+    real = QSeries.reciprocal
+
+    def corrupted(series):
+        inverse = real(series)
+        coeffs = list(inverse.coeffs)
+        coeffs[E] += 1
+        return QSeries(tuple(coeffs))
+
+    monkeypatch.setattr(QSeries, "reciprocal", corrupted)
+    # the numerator has constant term 1, so the quotient moves by 1 at E;
+    # sum_j q^{2j^2} has no term at 17
+    assert_fails_at(verify_boundary_half(4, ORDER), E, 1, 0)
+
+
+def test_sylvester(monkeypatch):
+    truth = corrupt(
+        monkeypatch,
+        qpl.identities,
+        "gf_count",
+        E,
+        PartSet.with_multiples(5, 2),
+        SIGNED_DISTINCT,
+    )
+    rep = verify_sylvester(ModularParams(5, 2), ORDER)
+    assert_fails_at(rep, E, truth[0] + 1, truth[0])
+
+
+def test_apostol(monkeypatch):
+    truth = corrupt(
+        monkeypatch,
+        qpl.divisors,
+        "gf_count",
+        E,
+        PartSet.with_multiples(4, 1),
+        SIGNED_DISTINCT,
+    )
+    rep = apostol_convolution_check(ModularParams(4, 1), ORDER)
+    assert_fails_at(rep, E, E * (truth[0] + 1), E * truth[0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])

@@ -5,6 +5,7 @@ import pytest
 from qpl.errors import ParameterError
 from qpl.figurate import ModularParams
 from qpl.identities import (
+    _triple_product_rows,
     battery,
     compare_series,
     interior_grid,
@@ -15,6 +16,7 @@ from qpl.identities import (
     verify_sylvester,
     verify_triple_product,
 )
+from qpl.partitions import gf_count
 from qpl.series import QSeries, ZLaurentSeries, triple_pochhammer
 
 
@@ -29,6 +31,39 @@ def reference_triple_product(q_order: int, factors: int) -> ZLaurentSeries:
         acc = acc * ZLaurentSeries.qz_binomial(1, m, -1, q_order)
         acc = acc * ZLaurentSeries.qz_binomial(1, m - 1, 1, q_order)
     return acc
+
+
+def interleaved_triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
+    """The windowed row expansion with (1-q^m) applied inside the factor loop
+    and every row updated in full: the reference for the reordered helper."""
+    n_ord, j_win = q_order, z_window
+    b = 2
+    while b * (b - 1) // 2 <= n_ord:
+        b += 1
+    w = j_win + b
+    size = 2 * w + 1
+    rows = [[0] * (n_ord + 1) for _ in range(size)]
+    rows[w][0] = 1
+    lo = hi = w
+    for m in range(1, n_ord + j_win + 3):
+        if m <= n_ord:
+            for idx in range(lo, hi + 1):
+                row = rows[idx]
+                row[m:] = [a - c for a, c in zip(row[m:], row)]
+        e_up = m - 1
+        if e_up <= n_ord:
+            if hi < size - 1:
+                hi += 1
+            for idx in range(hi, lo, -1):
+                row, src = rows[idx], rows[idx - 1]
+                row[e_up:] = [a + c for a, c in zip(row[e_up:], src)]
+        if m <= n_ord:
+            if lo > 0:
+                lo -= 1
+            for idx in range(lo, hi):
+                row, src = rows[idx], rows[idx + 1]
+                row[m:] = [a + c for a, c in zip(row[m:], src)]
+    return ZLaurentSeries(-w, tuple(QSeries(tuple(r)) for r in rows))
 
 
 class TestTripleProduct:
@@ -53,6 +88,14 @@ class TestTripleProduct:
                 QSeries.monomial(e, q_order) if e <= q_order else QSeries.zero(q_order)
             )
             assert ref.zcoeff(j) == expected
+
+    def test_reordered_rows_equal_interleaved_loop(self):
+        # every row of the widened window, the clamped edge rows included
+        for q_order in range(31):
+            for z_window in range(6):
+                assert _triple_product_rows(
+                    q_order, z_window
+                ) == interleaved_triple_product_rows(q_order, z_window)
 
     def test_constant_and_first_coefficients(self):
         ref = reference_triple_product(10, 14)
@@ -196,6 +239,15 @@ class TestBattery:
         serial = [r.to_json_dict() for r in battery(3, 4, 30)]
         threaded = [r.to_json_dict() for r in battery(3, 4, 30, jobs=4)]
         assert serial == threaded
+
+    def test_gf_count_memo_catches_every_repeat(self):
+        # work counter, not a timing: every repeated key of the battery must
+        # stay within reach of the bounded memo
+        gf_count.cache_clear()
+        battery(3, 8, 60)
+        info = gf_count.cache_info()
+        gf_count.cache_clear()
+        assert (info.misses, info.hits) == (222, 258)
 
     def test_interior_grid(self):
         grid = interior_grid(3, 8)

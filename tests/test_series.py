@@ -1,6 +1,7 @@
 """Series kernel: exact arithmetic, truncation discipline, product expansions."""
 
 from functools import cache
+from operator import neg
 
 import pytest
 from hypothesis import given, settings
@@ -249,3 +250,63 @@ def test_binomial_fast_paths_match_schoolbook(batch, c, e):
     if e <= a.order:
         assert a.div_binomial(c, e) == a * factor.reciprocal()
     assert a.div_binomial(c, e).mul_binomial(c, e) == a
+
+
+# ---------------------------------------------------------------------------
+# map-based kernels against a scalar reference
+# ---------------------------------------------------------------------------
+
+
+def schoolbook_mul(a, b):
+    """Reference Cauchy product: one scalar multiply-add per coefficient pair."""
+    n = a.order
+    out = [0] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a[i] * b[j]
+    return QSeries(tuple(out))
+
+
+def schoolbook_mul_binomial(a, c, e):
+    """Reference product with (1 + c·q^e), one coefficient at a time."""
+    out = list(a.coeffs)
+    for i in range(e, a.order + 1):
+        out[i] += c * a[i - e]
+    return QSeries(tuple(out))
+
+
+huge = st.integers(min_value=10**30, max_value=10**40)
+# the kernels branch on 0, +1, -1 and any other value; cover each, and big ints
+kernel_coeff = st.one_of(
+    st.sampled_from([0, 1, -1]), coeff, huge, huge.map(neg)
+)
+
+
+@st.composite
+def kernel_pair(draw, max_order=40):
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    left = draw(st.lists(kernel_coeff, min_size=order + 1, max_size=order + 1))
+    right = draw(st.lists(kernel_coeff, min_size=order + 1, max_size=order + 1))
+    return QSeries(tuple(left)), QSeries(tuple(right))
+
+
+@given(kernel_pair())
+def test_mul_matches_schoolbook(pair):
+    a, b = pair
+    assert a * b == schoolbook_mul(a, b)
+
+
+@given(kernel_pair(), kernel_coeff, st.integers(min_value=1, max_value=50))
+def test_mul_binomial_matches_schoolbook(pair, c, e):
+    a, _ = pair
+    assert a.mul_binomial(c, e) == schoolbook_mul_binomial(a, c, e)
+
+
+def test_mul_kernel_branches():
+    # one left coefficient per branch: skipped, added, subtracted, scaled
+    a = QSeries((0, 1, -1, 7, 10**31, -(10**31)))
+    b = QSeries((-3, 5, -(10**35), 2, 0, -1))
+    assert a * b == schoolbook_mul(a, b)
+    for c in (0, 1, -1, 7, -(10**31)):
+        for e in (1, 3, 5, 6, 40):
+            assert b.mul_binomial(c, e) == schoolbook_mul_binomial(b, c, e)
