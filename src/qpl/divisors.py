@@ -1,10 +1,11 @@
 """Restricted divisor sums and their relations to partition counts.
 
 f_J(n) sums the divisors of n lying in a part set J; for the
-residues-with-multiples family it satisfies a finite two-branch recursion
-over modular figurate shifts, a convolution equivalence against the signed
-distinct counts, and a generating-function relation F = -(q·g1')·f that
-unwinds to an explicit figurate-shift formula.
+residues-with-multiples family it satisfies a finite recursion over modular
+figurate shifts, a convolution equivalence against the signed distinct
+counts, and a generating-function relation F = -(q·g1')·f that unwinds to an
+explicit figurate-shift formula.  Below, T is the signed figurate series
+sum_j (-1)^j q^{M(j)}.
 """
 
 from __future__ import annotations
@@ -14,16 +15,9 @@ from math import isqrt
 from operator import mul
 
 from . import reports
-from .figurate import ModularParams, figurate_enumerate, figurate_index_map, require_interior
+from .figurate import ModularParams, require_interior, signed_figurate_series
 from .partsets import PartSet
-from .partitions import (
-    SIGNED_DISTINCT,
-    UNRESTRICTED,
-    _alternating,
-    _run_two_branch,
-    _shifts,
-    gf_count,
-)
+from .partitions import SIGNED_DISTINCT, UNRESTRICTED, _figurate_quotient, gf_count
 from .reports import VerificationReport, compare_series
 from .series import QSeries
 
@@ -81,15 +75,11 @@ def recursive_divisor_sums(params: ModularParams, order: int) -> DivisorTable:
 
         f(n) = sum_{j != 0} (-1)^{j-1} f(n - M(j))  [+ (-1)^{i-1} M(i) when n = M(i)]
 
-    with f vanishing at zero and below.
+    with f vanishing at zero and below, i.e. f = -(q·T')/T.
     """
     require_interior(params, "the divisor-sum recursion")
-    extra = {
-        v: (v if i % 2 else -v)
-        for v, i in figurate_index_map(params, order).items()
-        if v >= 1
-    }
-    values = _run_two_branch(order, _shifts(params, order, _alternating), extra, 0)
+    den = signed_figurate_series(params, -1, order)
+    values = _figurate_quotient(den.q_dq().scale(-1), den)
     return DivisorTable(values, PartSet.with_multiples(params.k, params.ell))
 
 
@@ -98,22 +88,13 @@ def shift_formula_divisor_sums(params: ModularParams, order: int) -> DivisorTabl
 
         f(n) = sum_{j != 0} (-1)^{j-1} M(j) · p(n - M(j); Jbar)
 
-    with p the unrestricted counts from their generating function.
+    with p the unrestricted counts from their generating function; as series,
+    f = -(q·T')·p, a product whose left factor is sparse.
     """
     jbar = PartSet.with_multiples(params.k, params.ell)
-    p = gf_count(jbar, UNRESTRICTED, order).values
-    shifts = sorted(
-        (v, v if j % 2 else -v) for j, v in figurate_enumerate(params, order) if j != 0
-    )
-    vals = [0] * (order + 1)
-    for n in range(1, order + 1):
-        total = 0
-        for off, w in shifts:
-            if off > n:
-                break
-            total += w * p[n - off]
-        vals[n] = total
-    return DivisorTable(tuple(vals), jbar)
+    p = gf_count(jbar, UNRESTRICTED, order).to_series()
+    shifts = signed_figurate_series(params, -1, order).q_dq().scale(-1)
+    return DivisorTable((shifts * p).coeffs, jbar)
 
 
 def apostol_convolution_check(params: ModularParams, order: int) -> VerificationReport:

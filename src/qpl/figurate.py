@@ -101,28 +101,16 @@ def figurate_enumerate(params: ModularParams, bound: int) -> list[tuple[int, int
     if bound < 0:
         raise ParameterError("bound must be non-negative")
     out: list[tuple[int, int]] = []
-    j, misses = 0, 0
-    while True:
-        v = figurate(params, j)
-        if v <= bound:
-            out.append((j, v))
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 2:
-                break
-        j += 1
-    j, misses = -1, 0
-    while True:
-        v = figurate(params, j)
-        if v <= bound:
-            out.append((j, v))
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 2:
-                break
-        j -= 1
+    for j, step in ((0, 1), (-1, -1)):
+        misses = 0
+        while misses < 2:
+            v = figurate(params, j)
+            if v <= bound:
+                out.append((j, v))
+                misses = 0
+            else:
+                misses += 1
+            j += step
     out.sort(key=lambda t: (t[1], t[0]))
     return out
 
@@ -137,19 +125,6 @@ def signed_figurate_series(params: ModularParams, sign: int, order: int) -> QSer
     for j, v in figurate_enumerate(params, order):
         coeffs[v] += sign if j % 2 else 1
     return QSeries(tuple(coeffs))
-
-
-def figurate_index_map(params: ModularParams, bound: int) -> dict[int, int]:
-    """Map value -> unique index j over 0..bound; interior parameters only."""
-    require_interior(params, "figurate index lookup")
-    table: dict[int, int] = {}
-    for j, v in figurate_enumerate(params, bound):
-        if v in table:
-            raise ParameterError(
-                f"figurate collision at {v} for (k={params.k}, ell={params.ell})"
-            )
-        table[v] = j
-    return table
 
 
 @dataclass(frozen=True, slots=True)

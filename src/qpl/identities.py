@@ -262,6 +262,8 @@ def verify_boundary_half(k: int, q_order: int) -> VerificationReport:
     """
     if k < 2 or k % 2:
         raise ParameterError("the half-boundary identities need an even k >= 2")
+    if q_order < 0:
+        raise ParameterError("q_order must be non-negative")
     half = k // 2
     parameters = {"k": k}
 

@@ -2,9 +2,9 @@
 
 Every counted family can be produced by (1) a brute-force dynamic program
 over the actual parts, (2) expansion of the product generating function, and
-(3) a two-branch recursion over modular figurate shifts.  The three routes
-share no code beyond the part-set vocabulary, so exact agreement between them
-is a meaningful check.
+(3) a recursion over modular figurate shifts, which divides one signed
+figurate series by another.  The three routes share no code beyond the
+part-set vocabulary, so exact agreement between them is a meaningful check.
 
 Counting modes: parts may be unrestricted, distinct, or capped at d copies;
 the length-signed variant weights a partition by (-1)^length.
@@ -17,14 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import OracleBoundError, ParameterError
-from .figurate import (
-    ModularParams,
-    figurate_enumerate,
-    figurate_index_map,
-    require_interior,
-    signed_figurate_series,
-)
+from .errors import NotInvertibleError, OracleBoundError, ParameterError
+from .figurate import ModularParams, require_interior, signed_figurate_series
 from .partsets import PartSet
 from .reports import VerificationReport, compare_series
 from .series import QSeries, triple_pochhammer
@@ -228,45 +222,46 @@ def quotient_series(
 
 
 # --------------------------------------------------------------------------
-# Route 3: two-branch recursions over figurate shifts
+# Route 3: recursions over figurate shifts
 # --------------------------------------------------------------------------
+#
+# Write T(P, s) = sum_j s^j q^{M(j)} for signed_figurate_series(P, s, order).
+# Each recursion below is the quotient of two such series; the triple product
+# identity turns both into products, and matching coefficients of
+# x·den = num gives the paper's shift recursion.
 
 
-def _shifts(params: ModularParams, order: int, weight) -> list[tuple[int, int]]:
-    """(offset, weight(j)) for j != 0 with M(j) <= order, ascending offsets."""
-    pairs = [
-        (v, weight(j)) for j, v in figurate_enumerate(params, order) if j != 0
-    ]
-    pairs.sort()
-    return pairs
+def _figurate_quotient(num: QSeries, den: QSeries) -> tuple[int, ...]:
+    """Coefficients of num/den for den[0] = 1, by long division:
 
+        vals[n] = num[n] - sum_{m >= 1, den[m] != 0} den[m]·vals[n - m].
 
-def _run_two_branch(
-    order: int, shifts: list[tuple[int, int]], extra: dict[int, int], at_zero: int
-) -> tuple[int, ...]:
-    """vals[n] = extra[n] + sum of w·vals[n - off] over the shifts, from vals[0] = at_zero."""
-    vals = [0] * (order + 1)
-    vals[0] = at_zero
-    for n in range(1, order + 1):
-        acc = extra.get(n, 0)
-        for off, w in shifts:
-            if off > n:
+    Deliberately not QSeries.reciprocal: the generating-function route
+    (quotient_series) inverts triple_pochhammer(k, ell, -γ), which equals
+    T((k, ell), -γ) by the specialized identity, so a reciprocal bug shared by
+    both routes would cancel out of their cross-check.
+    """
+    den._require_same_order(num)
+    if den[0] != 1:
+        raise NotInvertibleError(f"the divisor's constant term must be 1, got {den[0]}")
+    terms = [(m, c) for m, c in enumerate(den.coeffs) if m and c]
+    vals = list(num.coeffs)
+    for n in range(1, len(vals)):
+        acc = vals[n]
+        for m, c in terms:
+            if m > n:
                 break
-            acc += w * vals[n - off]
+            acc -= c * vals[n - m]
         vals[n] = acc
     return tuple(vals)
 
 
-def _alternating(j: int) -> int:
-    """(-1)^(j-1): +1 for odd j, -1 for even j (any sign of j)."""
-    return 1 if j % 2 else -1
-
-
 def recursive_count_jbar(params: ModularParams, order: int) -> SequenceTable:
     """p(n; residues-with-multiples) by the Euler-style recursion
-    p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j))."""
+    p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j)), i.e. p = 1/T(P, -1)."""
     require_interior(params, "the unrestricted-count recursion")
-    values = _run_two_branch(order, _shifts(params, order, _alternating), {}, 1)
+    den = signed_figurate_series(params, -1, order)
+    values = _figurate_quotient(QSeries.one(order), den)
     return SequenceTable(
         values, RECURSION, f"Jbar:{params.k},{params.ell};unrestricted"
     )
@@ -275,27 +270,18 @@ def recursive_count_jbar(params: ModularParams, order: int) -> SequenceTable:
 def recursive_count_quotient(
     params1: ModularParams, gamma1: int, params2: ModularParams, gamma2: int, order: int
 ) -> SequenceTable:
-    """The quotient sequence s(n): s(0) = 1 and for n >= 1
+    """The quotient sequence s = T(P2, γ2)/T(P1, -γ1): s(0) = 1 and for n >= 1
 
-        s(n) = sum_{j != 0} -(-γ1)^j s(n - M1(j))  [+ γ2^i when n = M2(i)].
-
-    The extra branch locates the unique index i, which exists because interior
-    parameters index the figurate values injectively.
+        s(n) = sum_{j != 0} -(-γ1)^j s(n - M1(j))  + sum_{i: M2(i) = n} γ2^i.
     """
     require_interior(params1, "the quotient recursion (denominator)")
     require_interior(params2, "the quotient recursion (numerator)")
     if gamma1 not in (1, -1) or gamma2 not in (1, -1):
         raise ParameterError("gamma values must be +1 or -1")
-
-    def weight(j: int) -> int:
-        return gamma1 if j % 2 else -1  # -(-γ1)^j
-
-    extra = {
-        v: (gamma2 if i % 2 else 1)
-        for v, i in figurate_index_map(params2, order).items()
-        if v >= 1
-    }
-    values = _run_two_branch(order, _shifts(params1, order, weight), extra, 1)
+    values = _figurate_quotient(
+        signed_figurate_series(params2, gamma2, order),
+        signed_figurate_series(params1, -gamma1, order),
+    )
     descriptor = (
         f"quotient:({params1.k},{params1.ell},{gamma1:+d})/"
         f"({params2.k},{params2.ell},{gamma2:+d})"
@@ -310,24 +296,15 @@ def recursive_count_distinct_j(
 
         x(n) = sum_{j != 0} (-1)^{j-1} x(n - k·ω(j))  [+ γ^i when n = M(i)]
 
-    with ω the general pentagonal numbers.
+    with ω the general pentagonal numbers, i.e. x = T(P, γ)/T((3,1), -1)(q^k).
     """
     require_interior(params, "the distinct-count recursion")
     if gamma not in (1, -1):
         raise ParameterError("gamma must be +1 or -1")
-    k = params.k
-    shifts = [
-        (k * v, _alternating(j))
-        for j, v in figurate_enumerate(ModularParams(3, 1), order // k)
-        if j != 0 and k * v <= order
-    ]
-    shifts.sort()
-    extra = {
-        v: (gamma if i % 2 else 1)
-        for v, i in figurate_index_map(params, order).items()
-        if v >= 1
-    }
-    values = _run_two_branch(order, shifts, extra, 1)
+    values = _figurate_quotient(
+        signed_figurate_series(params, gamma, order),
+        signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
+    )
     return SequenceTable(
         values, RECURSION, f"J:{params.k},{params.ell};distinct;gamma={gamma:+d}"
     )
@@ -336,21 +313,17 @@ def recursive_count_distinct_j(
 def recursive_count_j(params: ModularParams, gamma: int, order: int) -> SequenceTable:
     """Unrestricted counts on the plus/minus family (signed when γ = -1):
 
-        x(n) = sum_{j != 0} -(-γ)^j x(n - M(j))  [+ (-1)^i when n = k·ω(i)].
+        x(n) = sum_{j != 0} -(-γ)^j x(n - M(j))  [+ (-1)^i when n = k·ω(i)],
+
+    i.e. x = T((3,1), -1)(q^k)/T(P, -γ).
     """
     require_interior(params, "the unrestricted-J recursion")
     if gamma not in (1, -1):
         raise ParameterError("gamma must be +1 or -1")
-
-    def weight(j: int) -> int:
-        return gamma if j % 2 else -1
-
-    k = params.k
-    extra: dict[int, int] = {}
-    for i, v in figurate_enumerate(ModularParams(3, 1), order // k):
-        if i != 0 and 1 <= k * v <= order:
-            extra[k * v] = -1 if i % 2 else 1
-    values = _run_two_branch(order, _shifts(params, order, weight), extra, 1)
+    values = _figurate_quotient(
+        signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
+        signed_figurate_series(params, -gamma, order),
+    )
     return SequenceTable(
         values, RECURSION, f"J:{params.k},{params.ell};unrestricted;gamma={gamma:+d}"
     )
@@ -361,16 +334,15 @@ def recursive_count_bounded_jbar(
 ) -> SequenceTable:
     """Counts with every part used at most d times, on residues-with-multiples:
 
-        x(n) = sum_{j != 0} (-1)^{j-1} x(n - M(j))  [+ (-1)^i when n = (d+1)·M(i)].
+        x(n) = sum_{j != 0} (-1)^{j-1} x(n - M(j))  [+ (-1)^i when n = (d+1)·M(i)],
+
+    i.e. x = T(P, -1)(q^{d+1})/T(P, -1).
     """
     require_interior(params, "the bounded-multiplicity recursion")
     if d < 1:
         raise ParameterError("multiplicity cap d must be >= 1")
-    extra: dict[int, int] = {}
-    for v, i in figurate_index_map(params, order // (d + 1)).items():
-        if (d + 1) * v >= 1:
-            extra[(d + 1) * v] = -1 if i % 2 else 1
-    values = _run_two_branch(order, _shifts(params, order, _alternating), extra, 1)
+    den = signed_figurate_series(params, -1, order)
+    values = _figurate_quotient(den.dilate(d + 1), den)
     return SequenceTable(
         values, RECURSION, f"Jbar:{params.k},{params.ell};atmost{d}"
     )

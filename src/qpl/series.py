@@ -42,10 +42,14 @@ class QSeries:
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
+        if order < 0:
+            raise ParameterError("order must be non-negative")
         return cls((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
+        if order < 0:
+            raise ParameterError("order must be non-negative")
         return cls((1,) + (0,) * order)
 
     @classmethod

@@ -24,6 +24,9 @@ __all__ = [
 
 _TWO_PI_I = 2j * math.pi
 
+# Cap on the pairs one series may sum: |q| = 0.99999 at |z| = 1 needs 69 314.
+MAX_PAIRS = 100_000
+
 
 @dataclass(frozen=True)
 class ThetaPoint:
@@ -39,8 +42,10 @@ class ThetaPoint:
     tau: complex | None = None
 
     def __post_init__(self) -> None:
-        if abs(self.q) >= 1:
+        if not abs(self.q) < 1:  # also rejects NaN
             raise ValueError(f"|q| must be < 1, got |q| = {abs(self.q)}")
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"z must be finite, got {self.z}")
         if self.z == 0:
             raise ValueError("z must be nonzero")
 
@@ -71,26 +76,30 @@ def _pairs_needed(abs_q: float, big_z: float, tol: float) -> int:
     max(|z|, 1/|z|).  Once |q|^{T+1}·Z <= 1/2 the pair magnitudes shrink at
     least geometrically with ratio 1/2, so the tail is below four times the
     first omitted bound.  The coarser published bound
-    |q|^{T(T-1)/2}·Z^{T+1}/(1-|q|) < tol is enforced as well.
+    |q|^{T(T-1)/2}·Z^{T+1}/(1-|q|) < tol is enforced as well.  Raises
+    ValueError when T would pass MAX_PAIRS (|q| near 1 or Z huge).
     """
     log_q = math.log(abs_q)
     log_z = math.log(big_z)  # >= 0
     log_tol = math.log(tol)
-    t = 1
-    while True:
+    for t in range(1, MAX_PAIRS + 1):
         ratio_ok = (t + 1) * log_q + log_z <= -math.log(2)
         log_tail = math.log(4) + ((t + 1) * (t + 2) // 2) * log_q + (t + 2) * log_z
         log_doc = (t * (t - 1) // 2) * log_q + (t + 1) * log_z - math.log(1 - abs_q)
         if ratio_ok and log_tail < log_tol and log_doc < log_tol:
             return t
-        t += 1
+    raise ValueError(
+        f"theta series needs more than {MAX_PAIRS} term pairs at |q| = {abs_q}, "
+        f"max(|z|, 1/|z|) = {big_z}"
+    )
 
 
 def theta_series(point: ThetaPoint, tol: float) -> complex:
     """Partial sum of the bilateral series, accurate to tol in absolute value.
 
     q = 0 degenerates to 1 + z exactly (only n = 0, 1 survive); z = -1 returns
-    exactly 0 by the n <-> 1-n pairing.
+    exactly 0 by the n <-> 1-n pairing.  Raises OverflowError when 1/|z|
+    overflows a float.
     """
     _check_tol(tol)
     q, z = point.q, point.z
@@ -98,7 +107,10 @@ def theta_series(point: ThetaPoint, tol: float) -> complex:
         return 1 + z
     if z == -1:
         return 0j
-    t = _pairs_needed(abs(q), max(abs(z), 1 / abs(z)), tol)
+    big_z = max(abs(z), 1 / abs(z))
+    if math.isinf(big_z):
+        raise OverflowError(f"1/|z| overflows a float at |z| = {abs(z)}")
+    t = _pairs_needed(abs(q), big_z, tol)
     total = 0j
     for m in range(t, -1, -1):  # small terms first
         e = m * (m + 1) // 2

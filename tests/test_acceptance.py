@@ -227,13 +227,13 @@ def test_c13_theta_numerics():
                f"equation residual < 1e-11, in {elapsed:.2f}s")
 
 
-def test_c14_deterministic_reports():
+def test_c14_deterministic_reports(qpl_env):
     cmd = [
         sys.executable, "-m", "qpl.cli", "verify", "--all",
         "--grid", "k=3..5", "--order", "60",
     ]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=qpl_env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=qpl_env)
     assert first.stdout == second.stdout
     assert first.stdout.strip().startswith(b"[")
     report(14, "two consecutive full verification runs are byte-identical")

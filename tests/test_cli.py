@@ -1,10 +1,30 @@
 """Command-line surface: output formats, exit codes, cross-check flags."""
 
+import contextlib
+import io
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpl.cli import main
+
+IDENTITIES = (
+    "triple_product", "specialized", "berger", "hermite", "boundary_half",
+    "sylvester", "partition_shift", "bounded_mult_shift", "apostol", "kim",
+)
+# theta inputs that once never terminated: NaN q or z, infinite z, a z whose
+# reciprocal overflows, and |q| one ulp below 1
+THETA_EDGES = (
+    ("--q", "nan,0", "--z", "1,0"),
+    ("--q", "0.3,0", "--z", "nan,0"),
+    ("--q", "0.3,0", "--z", "inf,0"),
+    ("--q", "0.3,0", "--z", "1e-310,0"),
+    ("--q", "0.9999999999999999,0", "--z", "1,0"),
+)
 
 
 def run(capsys, *argv):
@@ -216,6 +236,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--identity", "boundary_half", "--k", "4"),
+            ("--identity", "apostol", "--k", "4", "--ell", "1"),
+        ],
+    )
+    def test_negative_order_rejected(self, capsys, args):
+        code, out, err = run(capsys, "verify", *args, "--order", "-2")
+        assert (code, out) == (2, "")
+        assert err.startswith("qpl: error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_rejected(self, capsys, jobs):
         code, out, err = run(
@@ -254,6 +286,18 @@ class TestTheta:
         assert err.startswith("qpl: error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("edge", THETA_EDGES, ids=" ".join)
+    def test_edge_input_terminates_with_usage_error(self, edge, qpl_env):
+        # a child process, so that a regression fails on the timeout
+        # instead of hanging the suite
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpl.cli", "theta", *edge],
+            capture_output=True, text=True, timeout=30, env=qpl_env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("qpl: error: ") and proc.stderr.count("\n") == 1
+
+
 class TestOutputFile:
     def test_write_to_path(self, capsys, tmp_path):
         target = tmp_path / "rows.csv"
@@ -274,3 +318,59 @@ class TestOutputFile:
         assert err.startswith("qpl: error: cannot write --output ")
         assert err.count("\n") == 1
         assert not target.parent.exists()
+
+
+_orders = st.integers(min_value=-3, max_value=30).map(str)
+_small = st.integers(min_value=-1, max_value=9).map(str)
+_verify_argv = st.tuples(
+    st.just("verify"), st.just("--identity"), st.sampled_from(IDENTITIES),
+    st.just("--order"), _orders, st.just("--k"), _small, st.just("--ell"), _small,
+    st.just("--d"), _small, st.just("--s"), st.integers(0, 4).map(str),
+    st.just("--zwindow"), st.integers(0, 3).map(str),
+)
+_partitions_argv = st.tuples(
+    st.just("partitions"),
+    st.just("--set"),
+    st.sampled_from(
+        ["Jbar:3,1", "Jbar:4,2", "J:5,2", "J:4,0", "I:5,2", "Js:5,2,2", "mult:3", "set:1,3,7"]
+    ),
+    st.just("--mode"), st.sampled_from(["unrestricted", "distinct", "at-most"]),
+    st.just("--gamma"), st.sampled_from(["1", "-1"]),
+    st.just("--d"), _small,
+    st.just("--n"), _orders,
+    st.one_of(
+        st.just("--check"),
+        st.tuples(st.just("--method"), st.sampled_from(["oracle", "gf", "recursion"])),
+    ),
+)
+_divisors_argv = st.tuples(
+    st.just("divisors"), st.just("--k"), _small, st.just("--ell"), _small,
+    st.just("--n"), _orders,
+    st.one_of(
+        st.just("--check"),
+        st.tuples(st.just("--method"), st.sampled_from(["scan", "recursion", "kim"])),
+    ),
+)
+# a negative RE,IM pair must be attached with '=': argparse reads "-1,0" as a flag
+_theta_argv = st.tuples(
+    st.just("theta"),
+    st.sampled_from(
+        THETA_EDGES + (("--q", "0.3,0.1", "--z=-1,0"), ("--q", "0,0", "--z", "2,0"))
+    ),
+    st.just("--variant"), st.sampled_from("abcd"),
+    st.just("--k"), st.integers(0, 2).map(str),
+    st.just("--ell"), st.integers(0, 2).map(str),
+)
+
+
+def _flatten(parts):
+    return [x for part in parts for x in ((part,) if isinstance(part, str) else part)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_verify_argv, _partitions_argv, _divisors_argv, _theta_argv).map(_flatten))
+def test_main_exits_0_1_or_2_and_never_raises(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv)
+    assert code in (0, 1, 2), argv

@@ -1,7 +1,9 @@
 """CLI byte identity: stdout digest and exit status for a fixed set of invocations.
 
 The digests were taken from the code before the duplicated route and
-verifier helpers were merged; any change to a printed byte fails here.
+verifier helpers were merged (the J:5,2 rows from the code before the
+recursions became quotients of figurate series); any change to a printed
+byte fails here.
 """
 
 import contextlib
@@ -16,6 +18,8 @@ _SETS = (
     ("--set", "Jbar:3,1"),
     ("--set", "J:4,1", "--mode", "distinct", "--gamma", "-1"),
     ("--set", "Jbar:3,1", "--mode", "at-most", "--d", "2"),
+    ("--set", "J:5,2"),
+    ("--set", "J:5,2", "--gamma", "-1"),
 )
 _DIVISORS = ("divisors", "--k", "5", "--ell", "2", "--n", "40")
 _IDENTITIES = (
@@ -73,6 +77,14 @@ DIGESTS = {
     "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --method gf": (0, "48231d16487fca7531265ff3e161fd0f869bd04963facbda2ebc4259eba280ac"),
     "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --method recursion": (0, "48231d16487fca7531265ff3e161fd0f869bd04963facbda2ebc4259eba280ac"),
     "partitions --set Jbar:3,1 --mode at-most --d 2 --n 30 --check": (0, "2e19fed2c20f3f0a0d4acbb7eec5b184af2b71b754992a67da6fc5f7ba5c4c13"),
+    "partitions --set J:5,2 --n 30 --method oracle": (0, "42fa594fcb70138f744672b50e06972929da444d58d12a3ab3d28adfa82c605c"),
+    "partitions --set J:5,2 --n 30 --method gf": (0, "42fa594fcb70138f744672b50e06972929da444d58d12a3ab3d28adfa82c605c"),
+    "partitions --set J:5,2 --n 30 --method recursion": (0, "42fa594fcb70138f744672b50e06972929da444d58d12a3ab3d28adfa82c605c"),
+    "partitions --set J:5,2 --n 30 --check": (0, "a43a4695caf70a9c9004789a06cc28007a5c915711157595bcabdde5c5248200"),
+    "partitions --set J:5,2 --gamma -1 --n 30 --method oracle": (0, "e45e7567f0046c7c3255937d859bdedc1d98d9253a24c464b5f442aa2a7e6851"),
+    "partitions --set J:5,2 --gamma -1 --n 30 --method gf": (0, "e45e7567f0046c7c3255937d859bdedc1d98d9253a24c464b5f442aa2a7e6851"),
+    "partitions --set J:5,2 --gamma -1 --n 30 --method recursion": (0, "e45e7567f0046c7c3255937d859bdedc1d98d9253a24c464b5f442aa2a7e6851"),
+    "partitions --set J:5,2 --gamma -1 --n 30 --check": (0, "4d222a0e4e0bfd45da6f1787d89731c803cd38f71d9bf5c5bed7d71e6c4a51e8"),
     "divisors --k 5 --ell 2 --n 40 --method scan": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
     "divisors --k 5 --ell 2 --n 40 --method recursion": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
     "divisors --k 5 --ell 2 --n 40 --method kim": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),

@@ -11,7 +11,6 @@ from qpl.figurate import (
     QPolynomial,
     figurate,
     figurate_enumerate,
-    figurate_index_map,
     gaussian_binomial,
     gnomon,
     pentagonal,
@@ -144,10 +143,6 @@ class TestEnumerate:
             for j in range(i + 1, 11):
                 if figurate(p, i) == figurate(p, j):
                     assert partner_of(p, i) == j
-
-    def test_index_map_rejects_boundary(self):
-        with pytest.raises(ParameterError):
-            figurate_index_map(ModularParams(4, 2), 50)
 
 
 def partner_of(p: ModularParams, j: int) -> int:

@@ -6,8 +6,11 @@ layers.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qpl.errors import OracleBoundError, ParameterError
+from qpl.divisors import recursive_divisor_sums
+from qpl.errors import NotInvertibleError, OracleBoundError, OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams
 from qpl.partitions import (
     CountMode,
@@ -15,6 +18,7 @@ from qpl.partitions import (
     SIGNED_DISTINCT,
     SIGNED_UNRESTRICTED,
     UNRESTRICTED,
+    _figurate_quotient,
     at_most,
     bounded_mult_shift_identity,
     generate_partitions,
@@ -23,6 +27,7 @@ from qpl.partitions import (
     oracle_table,
     partition_shift_identities,
     quotient_series,
+    recursion_table,
     recursive_count_bounded_jbar,
     recursive_count_distinct_j,
     recursive_count_j,
@@ -30,6 +35,7 @@ from qpl.partitions import (
     recursive_count_quotient,
 )
 from qpl.partsets import PartSet
+from qpl.series import QSeries
 
 JBAR31 = PartSet.with_multiples(3, 1)
 JBAR41 = PartSet.with_multiples(4, 1)
@@ -45,6 +51,18 @@ SMALL_SETS = [
     PartSet.explicit([1, 4, 9]),
 ]
 MODES = [UNRESTRICTED, DISTINCT, SIGNED_UNRESTRICTED, SIGNED_DISTINCT, at_most(2), at_most(3, True)]
+
+# Every recursion entry point as f(params, order); the quotient recursion
+# appears twice, with params in the denominator and in the numerator.
+RECURSIONS = (
+    recursive_count_jbar,
+    lambda p, n: recursive_count_bounded_jbar(p, 2, n),
+    lambda p, n: recursive_count_j(p, -1, n),
+    lambda p, n: recursive_count_distinct_j(p, -1, n),
+    lambda p, n: recursive_count_quotient(p, 1, ModularParams(5, 2), -1, n),
+    lambda p, n: recursive_count_quotient(ModularParams(5, 2), -1, p, 1, n),
+    recursive_divisor_sums,
+)
 
 
 def enumerated_count(n, part_set, mode):
@@ -142,8 +160,9 @@ class TestJbarRecursion:
 
     def test_boundary_rejected(self):
         for k, ell in [(4, 2), (3, 0), (3, 3), (2, 1)]:
-            with pytest.raises(ParameterError):
-                recursive_count_jbar(ModularParams(k, ell), 10)
+            for recursion in RECURSIONS:
+                with pytest.raises(ParameterError, match="interior"):
+                    recursion(ModularParams(k, ell), 10)
 
     def test_scaling_collapse(self):
         # counts at c·n for scaled parameters equal counts at n
@@ -263,3 +282,47 @@ class TestShiftIdentities:
             partition_shift_identities(ModularParams(4, 2), 1, 20)
         with pytest.raises(ParameterError):
             bounded_mult_shift_identity(ModularParams(6, 3), 1, 20)
+
+
+@st.composite
+def quotient_operands(draw, max_order=40):
+    """A random numerator and a sparse divisor with constant term 1."""
+    order = draw(st.integers(min_value=0, max_value=max_order))
+    coeff = st.integers(min_value=-(10**20), max_value=10**20)
+    sparse = st.one_of(st.just(0), st.sampled_from([0, 0, 1, -1, 2, -7]), coeff)
+    num = draw(st.lists(coeff, min_size=order + 1, max_size=order + 1))
+    den = draw(st.lists(sparse, min_size=order, max_size=order))
+    return QSeries(tuple(num)), QSeries((1, *den))
+
+
+class TestFigurateQuotient:
+    @given(quotient_operands())
+    def test_times_divisor_gives_numerator(self, operands):
+        # checked through the multiply kernel, not QSeries.reciprocal
+        num, den = operands
+        assert den * QSeries(_figurate_quotient(num, den)) == num
+
+    def test_rejects_bad_divisor(self):
+        with pytest.raises(NotInvertibleError):
+            _figurate_quotient(QSeries.one(3), QSeries((2, 0, 0, 1)))
+        with pytest.raises(OrderMismatchError):
+            _figurate_quotient(QSeries.one(3), QSeries.one(4))
+
+    def test_no_recursion_inverts_a_series(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the recursion route must not call QSeries.reciprocal")
+
+        monkeypatch.setattr(QSeries, "reciprocal", refuse)
+        for recursion in RECURSIONS:
+            recursion(ModularParams(5, 2), 40)
+        families = [
+            (PartSet.with_multiples(5, 2), UNRESTRICTED),
+            (PartSet.with_multiples(5, 2), at_most(3)),
+            (PartSet.plus_minus(5, 2), UNRESTRICTED),
+            (PartSet.plus_minus(5, 2), SIGNED_UNRESTRICTED),
+            (PartSet.plus_minus(5, 2), DISTINCT),
+            (PartSet.plus_minus(5, 2), SIGNED_DISTINCT),
+        ]
+        for part_set, mode in families:
+            table = recursion_table(part_set, mode, 40)
+            assert table.values == gf_count(part_set, mode, 40).values

@@ -9,7 +9,9 @@ import pytest
 
 from qpl.series import triple_pochhammer
 from qpl.theta import (
+    MAX_PAIRS,
     ThetaPoint,
+    _pairs_needed,
     aux_theta,
     quasi_periodicity_residual,
     theta_class,
@@ -26,6 +28,15 @@ class TestPoint:
             ThetaPoint.from_qz(0.5 + 0.9j, 1.0)
         with pytest.raises(ValueError):
             ThetaPoint.from_qz(0.3, 0.0)
+
+    def test_non_finite_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        points = (
+            (nan, 1.0), (complex(0.1, nan), 1.0), (0.3, nan), (0.3, inf), (0.3, complex(1, -inf)),
+        )
+        for q, z in points:
+            with pytest.raises(ValueError):
+                ThetaPoint.from_qz(q, z)
 
     def test_nu_tau_conversion(self):
         pt = ThetaPoint.from_nu_tau(0.25, 0.5j)
@@ -56,6 +67,9 @@ class TestSeries:
         coarse = theta_series(pt, 1e-6)
         fine = theta_series(pt, 1e-15)
         assert abs(coarse - fine) < 1e-6
+
+    def test_pair_cap_admits_q_near_one(self):
+        assert 60_000 < _pairs_needed(0.99999, 1.0, 1e-12) <= MAX_PAIRS
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):
