@@ -280,6 +280,26 @@ def _parse_complex(text: str) -> complex:
         raise ParameterError(f"expected RE,IM or RE, got {text!r}") from None
 
 
+def _attach_theta_values(argv: list[str]) -> list[str]:
+    """Rewrite `theta --z -1,0` as `theta --z=-1,0`.
+
+    argparse takes a separate value such as "-1,0" or "-0.3,0.1" for an
+    unknown flag, because only plain negative numbers are exempt.  Only the
+    theta subcommand is rewritten, and only a --q or --z value that starts
+    with a single '-'.
+    """
+    if argv[:1] != ["theta"]:
+        return argv
+    attached: list[str] = []
+    for arg in argv:
+        signed = arg.startswith("-") and not arg.startswith("--")
+        if signed and attached[-1:] in (["--q"], ["--z"]):
+            attached[-1] += "=" + arg
+        else:
+            attached.append(arg)
+    return attached
+
+
 def _cmd_theta(args) -> int:
     point = ThetaPoint.from_qz(_parse_complex(args.q), _parse_complex(args.z))
     try:
@@ -389,7 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_attach_theta_values(argv))
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -69,6 +69,19 @@ def _check_tol(tol: float) -> None:
         raise ValueError("tol must be positive")
 
 
+def _larger_root(a: float, b: float, c: float) -> float:
+    """Larger real root of a·t² + b·t + c for a < 0, or -inf if there is none.
+
+    With no real root the parabola stays below zero, so the bound it encodes
+    holds for every t.  That includes tol = inf, where c = -inf and the
+    discriminant is -inf.
+    """
+    disc = b * b - 4 * a * c
+    if not disc >= 0:
+        return -math.inf
+    return (-b - math.sqrt(disc)) / (2 * a)
+
+
 def _pairs_needed(abs_q: float, big_z: float, tol: float) -> int:
     """Smallest pair count T certifying |tail beyond T| < tol.
 
@@ -78,14 +91,34 @@ def _pairs_needed(abs_q: float, big_z: float, tol: float) -> int:
     first omitted bound.  The coarser published bound
     |q|^{T(T-1)/2}·Z^{T+1}/(1-|q|) < tol is enforced as well.  Raises
     ValueError when T would pass MAX_PAIRS (|q| near 1 or Z huge).
+
+    T is the first t >= 1 passing all three float tests below, found by a
+    forward scan that starts two below the floor of the largest real root of
+    the tests: the ratio test is linear in t, the two bounds are concave
+    quadratics.  The start never skips T.  The ratio test is monotone in t,
+    even in floats, so no t below its root passes.  From the ratio root on,
+    the tail bound falls by at least log 2 per step, and the published bound
+    does so from one step later; where that bound still holds at the first
+    t passing the ratio test, its larger root is less than 3 past that t.
+    Float error in the roots is far below the remaining slack.
     """
-    log_q = math.log(abs_q)
+    log_q = math.log(abs_q)  # < 0
     log_z = math.log(big_z)  # >= 0
     log_tol = math.log(tol)
-    for t in range(1, MAX_PAIRS + 1):
-        ratio_ok = (t + 1) * log_q + log_z <= -math.log(2)
-        log_tail = math.log(4) + ((t + 1) * (t + 2) // 2) * log_q + (t + 2) * log_z
-        log_doc = (t * (t - 1) // 2) * log_q + (t + 1) * log_z - math.log(1 - abs_q)
+    log_2 = math.log(2)
+    log_4 = math.log(4)
+    log_1mq = math.log(1 - abs_q)
+    largest_root = max(
+        (log_2 + log_z) / -log_q - 1,
+        _larger_root(
+            log_q / 2, 1.5 * log_q + log_z, log_q + 2 * log_z + log_4 - log_tol
+        ),
+        _larger_root(log_q / 2, log_z - log_q / 2, log_z - log_1mq - log_tol),
+    )
+    for t in range(max(1, math.floor(largest_root) - 2), MAX_PAIRS + 1):
+        ratio_ok = (t + 1) * log_q + log_z <= -log_2
+        log_tail = log_4 + ((t + 1) * (t + 2) // 2) * log_q + (t + 2) * log_z
+        log_doc = (t * (t - 1) // 2) * log_q + (t + 1) * log_z - log_1mq
         if ratio_ok and log_tail < log_tol and log_doc < log_tol:
             return t
     raise ValueError(
@@ -99,7 +132,7 @@ def theta_series(point: ThetaPoint, tol: float) -> complex:
 
     q = 0 degenerates to 1 + z exactly (only n = 0, 1 survive); z = -1 returns
     exactly 0 by the n <-> 1-n pairing.  Raises OverflowError when 1/|z|
-    overflows a float.
+    or a term overflows a float, or a power of z underflows to 0.
     """
     _check_tol(tol)
     q, z = point.q, point.z
@@ -112,9 +145,12 @@ def theta_series(point: ThetaPoint, tol: float) -> complex:
         raise OverflowError(f"1/|z| overflows a float at |z| = {abs(z)}")
     t = _pairs_needed(abs(q), big_z, tol)
     total = 0j
-    for m in range(t, -1, -1):  # small terms first
-        e = m * (m + 1) // 2
-        total += (q**e) * (z ** (-m) + z ** (m + 1))
+    try:
+        for m in range(t, -1, -1):  # small terms first
+            e = m * (m + 1) // 2
+            total += (q**e) * (z ** (-m) + z ** (m + 1))
+    except ZeroDivisionError:  # z**(-m) is 1/z**m, and z**m underflowed to 0
+        raise OverflowError(f"1/z^{m} overflows a float at |z| = {abs(z)}") from None
     return total
 
 

@@ -17,13 +17,15 @@ IDENTITIES = (
     "sylvester", "partition_shift", "bounded_mult_shift", "apostol", "kim",
 )
 # theta inputs that once never terminated: NaN q or z, infinite z, a z whose
-# reciprocal overflows, and |q| one ulp below 1
+# reciprocal overflows, and |q| one ulp below 1; and one whose powers of z
+# underflow to 0, which once ended in a ZeroDivisionError traceback
 THETA_EDGES = (
     ("--q", "nan,0", "--z", "1,0"),
     ("--q", "0.3,0", "--z", "nan,0"),
     ("--q", "0.3,0", "--z", "inf,0"),
     ("--q", "0.3,0", "--z", "1e-310,0"),
     ("--q", "0.9999999999999999,0", "--z", "1,0"),
+    ("--q", "1e-200,0", "--z", "1e-200,0"),
 )
 
 
@@ -286,6 +288,18 @@ class TestTheta:
         assert err.startswith("qpl: error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "separate,attached",
+        [
+            (("--q", "0.3,0", "--z", "-1,0"), ("--q", "0.3,0", "--z=-1,0")),
+            (("--q", "-0.3,0.1", "--z", "2,0"), ("--q=-0.3,0.1", "--z", "2,0")),
+        ],
+    )
+    def test_negative_value_as_separate_argument(self, capsys, separate, attached):
+        code, out, err = run(capsys, "theta", *separate)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, "theta", *attached)
+
     @pytest.mark.parametrize("edge", THETA_EDGES, ids=" ".join)
     def test_edge_input_terminates_with_usage_error(self, edge, qpl_env):
         # a child process, so that a regression fails on the timeout
@@ -351,11 +365,15 @@ _divisors_argv = st.tuples(
         st.tuples(st.just("--method"), st.sampled_from(["scan", "recursion", "kim"])),
     ),
 )
-# a negative RE,IM pair must be attached with '=': argparse reads "-1,0" as a flag
 _theta_argv = st.tuples(
     st.just("theta"),
     st.sampled_from(
-        THETA_EDGES + (("--q", "0.3,0.1", "--z=-1,0"), ("--q", "0,0", "--z", "2,0"))
+        THETA_EDGES
+        + (
+            ("--q", "0.3,0.1", "--z", "-1,0"),
+            ("--q=-0.3,0.1", "--z=-1,0"),
+            ("--q", "0,0", "--z", "2,0"),
+        )
     ),
     st.just("--variant"), st.sampled_from("abcd"),
     st.just("--k"), st.integers(0, 2).map(str),

@@ -2,8 +2,9 @@
 
 The digests were taken from the code before the duplicated route and
 verifier helpers were merged (the J:5,2 rows from the code before the
-recursions became quotients of figurate series); any change to a printed
-byte fails here.
+recursions became quotients of figurate series, the theta rows from the code
+before the series' pair count was found in closed form); any change to a
+printed byte fails here.
 """
 
 import contextlib
@@ -61,6 +62,17 @@ INVOCATIONS = (
     + [("divisors", "--k", "4", "--ell", "2", "--n", "20", "--method", "kim")]
     + [("verify", "--identity", *ident, "--order", "60") for ident in _IDENTITIES]
     + [("verify", "--all", "--grid", "k=3..5", "--order", "60")]
+    + [("theta", "--variant", v, "--q", "0.3,0.1", "--z", "0.7,-0.4") for v in "abcd"]
+    + [
+        ("theta", "--k", k, "--ell", ell, "--variant", "c", "--q", "0.45,-0.2", "--z", "1.3,0.5")
+        for k, ell in (("1", "0"), ("2", "1"), ("3", "1"), ("3", "2"))
+    ]
+    + [
+        ("theta", "--q", "0.3,0.1", "--z=-1,0"),
+        ("theta", "--q", "0,0", "--z", "2,0.5"),
+        ("theta", "--q", "0.54,0.72", "--z", "6,8", "--tol", "1e-10"),
+        ("theta", "--variant", "d", "--q", "0.54,0.72", "--z", "0.06,-0.08"),
+    ]
 )
 
 # " ".join(argv) -> (exit status, sha256 of stdout)
@@ -104,6 +116,18 @@ DIGESTS = {
     "verify --identity apostol --k 4 --ell 1 --order 60": (0, "e57305a0f376a08192a735c4214de39e036f27a6c7a51b3ba86c5adc56e8a32b"),
     "verify --identity kim --k 5 --ell 2 --order 60": (0, "a15d69ab5b72aa5652f76904a1b26149d7331eb859def8b567fd3b1f652374f8"),
     "verify --all --grid k=3..5 --order 60": (0, "0d018e28fe5df92fb926cb2e3384f1ea170183fef1deb7046ab81955566aed0b"),
+    "theta --variant a --q 0.3,0.1 --z 0.7,-0.4": (0, "2d3be4a0f4c7569bbd664e036e425b625e94c60b664399dd235a69651d4a57e0"),
+    "theta --variant b --q 0.3,0.1 --z 0.7,-0.4": (0, "a4c00f5518c086a4e7ce518fa812d67e27d353dad1e5294d5d74b68ca16b36cd"),
+    "theta --variant c --q 0.3,0.1 --z 0.7,-0.4": (0, "ee10447711161c97edfbf76cfe7a92de3aaab6b76a1b2ad98f049c670fb575a1"),
+    "theta --variant d --q 0.3,0.1 --z 0.7,-0.4": (0, "52d1417772ff8e1486a944a90bae45f243aa46a1e7016308d7b30526387921d5"),
+    "theta --k 1 --ell 0 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "3a5e9ab64982acd310fbfde15e0d6cd0487b4db450ba5b3e269baf1ada0dd614"),
+    "theta --k 2 --ell 1 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "d62ee47f5f8ff35a62c78aef91d59359cff1d9be1f5d46f50e4af1902b679827"),
+    "theta --k 3 --ell 1 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "a8353ea13f51a5f26cc172af4f97f1cc32be852672c70e300fad399d5cc3e02a"),
+    "theta --k 3 --ell 2 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "81ac7f19dadc906cded45dbc495719ea384e785dc6a9a1a39f26b833ef4d608d"),
+    "theta --q 0.3,0.1 --z=-1,0": (0, "79eb321cc9e36d79c92fe54082a99e3468f82c64d79980e927fb1576874f7de5"),
+    "theta --q 0,0 --z 2,0.5": (0, "edcbcbc8327719ead5a55a718cd07df09a87a91a116d9ed0659aec989ef35fc5"),
+    "theta --q 0.54,0.72 --z 6,8 --tol 1e-10": (0, "df48468b92692341e0c3eac202cee522d23fa0b5b6b20b7e6ca14e5efd1123a4"),
+    "theta --variant d --q 0.54,0.72 --z 0.06,-0.08": (0, "4c3da8e032b6cf33a9a898706191052dcd2424152038c8cb59b495edce0c1469"),
 }
 
 

@@ -1,11 +1,14 @@
 """Numeric theta evaluation: tail bounds, variants, functional equations."""
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qpl.series import triple_pochhammer
 from qpl.theta import (
@@ -18,6 +21,55 @@ from qpl.theta import (
     theta_product,
     theta_series,
 )
+
+
+def _pairs_needed_linear_scan(abs_q, big_z, tol):
+    """The scan from t = 1 that _pairs_needed replaced; its reference."""
+    log_q = math.log(abs_q)
+    log_z = math.log(big_z)
+    log_tol = math.log(tol)
+    for t in range(1, MAX_PAIRS + 1):
+        ratio_ok = (t + 1) * log_q + log_z <= -math.log(2)
+        log_tail = math.log(4) + ((t + 1) * (t + 2) // 2) * log_q + (t + 2) * log_z
+        log_doc = (t * (t - 1) // 2) * log_q + (t + 1) * log_z - math.log(1 - abs_q)
+        if ratio_ok and log_tail < log_tol and log_doc < log_tol:
+            return t
+    raise ValueError("past MAX_PAIRS")
+
+
+# (|q|, Z, tol) with |q| from 1e-300 to 1 - 1e-12, Z from 1 to 1e300, tol up to inf
+_generic_args = st.tuples(
+    st.one_of(
+        st.floats(-300, -1e-3).map(lambda e: 10.0**e),
+        st.floats(1e-3, 0.999),
+        st.floats(-12, -3).map(lambda e: 1 - 10.0**e),
+    ),
+    st.floats(0, 300).map(lambda e: 10.0**e),
+    st.one_of(
+        st.floats(-300, 300).map(lambda e: 10.0**e),
+        st.sampled_from((4.0, math.nextafter(4.0, 0), math.inf)),
+    ),
+)
+
+
+@st.composite
+def _bound_holds_at_ratio_root(draw):
+    """(|q|, Z, tol) where the published bound holds at the ratio root t.
+
+    |q|^{t+1}·Z lies just below 1/2 and tol just above the published bound at
+    t, so the bound's larger root lies up to 3 past the answer t.
+    """
+    t = draw(st.integers(1, 8))
+    frac = draw(st.floats(0, 1, exclude_max=True))
+    # log(bound at t) / -log|q|, up to the log 2 and log(1 - |q|) terms
+    height = (t + 1) * (t + 1 - frac) - t * (t - 1) // 2
+    log_q = -draw(st.floats(0.01, 1)) * 700 / height
+    log_z = (t + 1 - frac) * -log_q - math.log(2)
+    abs_q = math.exp(log_q)
+    log_doc = (t * (t - 1) // 2) * log_q + (t + 1) * log_z - math.log(1 - abs_q)
+    log_tol = log_doc + draw(st.floats(0, 1))
+    assume(log_z >= 0 and log_tol > -700)
+    return abs_q, math.exp(log_z), math.exp(log_tol)
 
 
 class TestPoint:
@@ -70,6 +122,23 @@ class TestSeries:
 
     def test_pair_cap_admits_q_near_one(self):
         assert 60_000 < _pairs_needed(0.99999, 1.0, 1e-12) <= MAX_PAIRS
+
+    # about 40% of the generic draws need more than MAX_PAIRS pairs, and the
+    # reference then scans all of them (~0.1 s each), hence the example count
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_generic_args, _bound_holds_at_ratio_root()))
+    @example((1.3159086641084938e-43, 3.1578114483136772e66, 3.149478423339146e133))
+    @example((1.4256945923783037e-83, 7.484250563840739e145, 1.867853579079366e292))
+    @example((1e-300, 1e300, math.inf))
+    @example((1 - 1e-12, 1.0, 1e-300))
+    def test_pairs_needed_matches_linear_scan(self, args):
+        try:
+            want = _pairs_needed_linear_scan(*args)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _pairs_needed(*args)
+        else:
+            assert _pairs_needed(*args) == want
 
     def test_tol_validation(self):
         with pytest.raises(ValueError):
@@ -205,3 +274,83 @@ class TestExactBridge:
             ThetaPoint.from_qz(q0**k, sign * q0**ell), 1e-14
         )
         assert abs(poly_value - theta_value) < 1e-12
+
+
+def _pinned_points():
+    """40 seeded points (q, z, k, ell, factors, tol): |q| from 1e-6 to 0.95,
+    |z| from 0.1 to 10, every angle, tol from 1e-15 to 1e-4."""
+    rng = random.Random(20261018)
+    for i in range(40):
+        abs_q = (1e-6, 0.05, 0.3, 0.6, 0.8, 0.9, 0.95)[i % 7] * rng.uniform(0.9, 1)
+        q = cmath.rect(abs_q, rng.uniform(-math.pi, math.pi))
+        z = cmath.rect(10 ** rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi))
+        tol = (1e-15, 1e-12, 1e-8, 1e-4)[i % 4]
+        yield q, z, rng.randint(1, 3), rng.randint(0, 2), rng.randint(10, 60), tol
+
+
+def _theta_bits(q, z, k, ell, factors, tol):
+    """float.hex of every real and imaginary part the theta calls return."""
+    point = ThetaPoint.from_qz(q, z)
+    values = [
+        theta_series(point, tol),
+        theta_product(point, factors),
+        *quasi_periodicity_residual(point, tol),
+        *(theta_class(k, ell, variant, point, tol) for variant in "abcd"),
+    ]
+    return " ".join(
+        float.hex(part) for v in map(complex, values) for part in (v.real, v.imag)
+    )
+
+
+# sha256 of _theta_bits per point, taken from the code before _pairs_needed
+# found its start in closed form (CPython 3.11, x86-64 Linux)
+THETA_BITS = (
+    "ffc221b2f21977f162005d175e3b3492b42e5a8611c7bdfde9875080b76ec3a2",
+    "b58973215db2e1be36272fa8ef210388e0a51fb913704c88e9990cd114af22e1",
+    "fe3060d4f9f1caf5df7664b7b7b6385bcaa30e84745e2ee0f78e56c619516ac3",
+    "90708a7f01f441c920b261926cbfbcd37bfcc597d73358dd89b2a742342cf97d",
+    "6e79a2592ca8e65ae52ab92bdcc4ef6b285637f901c68984217a86c616033936",
+    "d699ee8c09c00b6031ec428b497d328c099b3d52df0ca6254cac9e4e3500ac38",
+    "8c3c0af9bf367bd81a3577bf8ca571ee6a25e201d6b28fdd705082f26aaed966",
+    "4b266b540a9538b84ee973f30efa7f52649f4e314cffd2547b97bf7bea665d2e",
+    "38f9239b6ff39975b225a12a4c8e7d5af3fb2c005e0ad034bbf5ea4b7253c5cc",
+    "357eefbade2bad2d6d419f8247a4eeb8d7c8a6a05a1a710f0dbbcbca3dad87a5",
+    "4af9f0ab0363dc810cffc32d8e6521591a95a684929f74f17d1c48b5f9cc4397",
+    "c0272a266f256b52629daba2ea506d002522bbd5dc582a80ad12cbc54badce13",
+    "8f633127daae62da2e18ebecdaa3088204a238f6683bd9740e75de45b2082890",
+    "3dcbebb93c4ef7666a16205c35c4571f43fccc5467ab108202dec265cde66a8c",
+    "f12e284a52c095abc1681bf153db5a796a296eb5bdb143845134b182b83a0b02",
+    "ac80c787ba45ef9a1ff3bb44793533139e5cadf452c27b4c76dd7055c93546ce",
+    "23fec74a59d6604dda6ab7bbafaf194e517e504ec8b42dab8ddf84b268f73541",
+    "818984e1fcff962bde0972ca7f071d28cf02c52ceb236c7323acc4ea1b9ac7fe",
+    "17b89dc709b78ba4b07a1b91150fc9bc12f3388d2716d77495815113501b39f1",
+    "34685bb46ae0075877338b14906084e05c5123fd5bb0981a35a8dc240faa273e",
+    "e8bf4f6f7e48caf1be9a30d8e930dd2d1f78677ec75557dd4bb7ab68a84297b4",
+    "80268941b446615443f5cb82b72fdb5401da0480e9d446b76579cedbfc6b0590",
+    "7449fc4803466cd9ab7bcf4660e5b820ab887c10b0287635852e7220f71369e8",
+    "63bf654bd7ea0878af9f976eceb09f53acecc07bddfc4aad3cb95d5a2b4de491",
+    "218f48b7ceb07706ee36c69e2b028154de18b7aa25118008a1ed55581d11f469",
+    "065c7abb045ace078f1d5033a95a7f5b4131743d9a66d44244811511a405bc19",
+    "d75cedb78be79a3089eba3d51f11f329c59fc5fe43abb25d8a40b1008c3d3532",
+    "de5c151a503b402fccd67f265e33583e22410097e53be1429d61148797cf0cde",
+    "cba77c2503f5899101a09b8d7237c7ede0d783d95affb5b50d933f2c51880c02",
+    "40be50f906e49cdeb236c6c59b9b0fcb7b34fc8e14fe5324c32c07736522cb49",
+    "71f763167eb2d18f534b2bd2a3e7a8a302a5f4e2c713461474e4f4452148415b",
+    "92315a7d6775f0de76133074bbdd6c342925d0934fcbf891dfcb7bcf0236ce9e",
+    "fe772f2a585c59ec2c3ba7964bb7f24a63186e29af2644dd32833d92dfefc8c3",
+    "a5fc3198ecb091278a77a45319a93110d7688a9112a09504580760ddb0c7843c",
+    "91dbbfab0120ae508a8e266bf42c7c18ecfb0d9c06c2b80e2ec5ab61a4c928c9",
+    "89e21b1afad49bd5f461d2c88d68e8c8d0b41b23f116e945c9eed7f44c9ad1ea",
+    "2d56946704395fe133360852d56c58b33ae1762c45fb6348f6981c43ae508577",
+    "0fef188867904e5cb59e5a892836834151046e217b254b9e31318835c403baa1",
+    "e242c68095d0c1bc35a62627d01898e5f2a7e8c635128ff442ea5af3982f195d",
+    "46fcccf2fbeb25b9ee483724550d2d7b9d8501a59e1869c5ad346c980ef72755",
+)
+
+
+class TestBits:
+    @pytest.mark.parametrize("index", range(len(THETA_BITS)))
+    def test_values_unchanged(self, index):
+        args = list(_pinned_points())[index]
+        bits = _theta_bits(*args)
+        assert hashlib.sha256(bits.encode()).hexdigest() == THETA_BITS[index], bits
