@@ -12,7 +12,6 @@ from .series import QSeries, ZLaurentSeries, triple_pochhammer
 from .figurate import (
     BoundaryClass,
     ModularParams,
-    QPolynomial,
     figurate,
     figurate_enumerate,
     gaussian_binomial,

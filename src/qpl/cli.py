@@ -43,7 +43,7 @@ from .partitions import (
     recursion_table,
 )
 from .partsets import PartSet, parse_part_set
-from .theta import ThetaPoint, quasi_periodicity_residual, theta_class
+from .theta import ThetaPoint, aux_theta, quasi_periodicity_residual, substituted_point
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,6 +71,33 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _emit_check(tables: dict[str, tuple[int, ...]], ns: range, args) -> int:
+    """Emit the methods' values side by side for every n in ns, with whether
+    they agree; EXIT_FAIL unless every row agrees."""
+    methods = sorted(tables)
+    rows = [(n, [tables[m][n] for m in methods]) for n in ns]
+    oks = [len(set(vals)) == 1 for _, vals in rows]
+    if args.format == "json":
+        payload = {
+            "schema": 1,
+            "methods": methods,
+            "rows": [
+                {"n": n, **{m: str(v) for m, v in zip(methods, vals)}} for n, vals in rows
+            ],
+            "agree": all(oks),
+        }
+        _emit(_json_text(payload), args.output)
+    else:
+        _emit(
+            _csv_text(
+                ["n", *methods, "agree"],
+                [[n, *vals, "yes" if ok else "NO"] for (n, vals), ok in zip(rows, oks)],
+            ),
+            args.output,
+        )
+    return EXIT_OK if all(oks) else EXIT_FAIL
 
 
 # --------------------------------------------------------------------------
@@ -119,28 +146,7 @@ def _cmd_partitions(args) -> int:
             tables["recursion"] = recursion_table(part_set, mode, order).values
         except ParameterError:
             pass
-        methods = sorted(tables)
-        rows = []
-        agree = True
-        for n in range(order + 1):
-            vals = [tables[m][n] for m in methods]
-            ok = len(set(vals)) == 1
-            agree = agree and ok
-            rows.append([n, *vals, "yes" if ok else "NO"])
-        if args.format == "json":
-            payload = {
-                "schema": 1,
-                "methods": methods,
-                "rows": [
-                    {"n": n, **{m: str(tables[m][n]) for m in methods}}
-                    for n in range(order + 1)
-                ],
-                "agree": agree,
-            }
-            _emit(_json_text(payload), args.output)
-        else:
-            _emit(_csv_text(["n", *methods, "agree"], rows), args.output)
-        return EXIT_OK if agree else EXIT_FAIL
+        return _emit_check(tables, range(order + 1), args)
 
     if args.method == "oracle":
         table = oracle_table(part_set, mode, order)
@@ -182,17 +188,10 @@ def _cmd_divisors(args) -> int:
     if order < 0:
         raise ParameterError("--n must be non-negative")
     if args.check:
-        methods = ["kim", "recursion", "scan"]
-        tables = {m: _divisor_table(params, order, m).values for m in methods}
-        agree = True
-        rows = []
-        for n in range(1, order + 1):
-            vals = [tables[m][n] for m in methods]
-            ok = len(set(vals)) == 1
-            agree = agree and ok
-            rows.append([n, *vals, "yes" if ok else "NO"])
-        _emit(_csv_text(["n", *methods, "agree"], rows), args.output)
-        return EXIT_OK if agree else EXIT_FAIL
+        tables = {
+            m: _divisor_table(params, order, m).values for m in ("kim", "recursion", "scan")
+        }
+        return _emit_check(tables, range(1, order + 1), args)
     values = _divisor_table(params, order, args.method).values[1:]
     if args.format == "json":
         payload = {"schema": 1, "values": [str(v) for v in values]}
@@ -303,15 +302,12 @@ def _attach_theta_values(argv: list[str]) -> list[str]:
 def _cmd_theta(args) -> int:
     point = ThetaPoint.from_qz(_parse_complex(args.q), _parse_complex(args.z))
     try:
-        value = theta_class(args.k, args.ell, args.variant, point, args.tol)
-        q_sub = point.q**args.k
-        z_sub = (point.q**args.ell) * point.z
-        if q_sub == 0 or z_sub == 0:
+        sub = substituted_point(point, args.k, args.ell)
+        value = aux_theta(args.variant, sub, args.tol)
+        if sub.q == 0:
             residual = None
         else:
-            residual = quasi_periodicity_residual(
-                ThetaPoint.from_qz(q_sub, z_sub), args.tol
-            )
+            residual = quasi_periodicity_residual(sub, args.tol)
     except OverflowError:
         raise ParameterError(
             f"theta at q={args.q} z={args.z} overflows a float"

@@ -33,11 +33,6 @@ class DivisorTable:
     def order(self) -> int:
         return len(self.values) - 1
 
-    def at(self, n: int) -> int:
-        if n < 1:
-            return 0
-        return self.values[n]
-
     def to_series(self) -> QSeries:
         return QSeries(self.values)
 

@@ -51,11 +51,6 @@ class ModularParams:
     def is_interior(self) -> bool:
         return self.boundary_class is BoundaryClass.INTERIOR
 
-    def scaled(self, c: int) -> "ModularParams":
-        if c < 1:
-            raise ParameterError("scale factor must be a positive integer")
-        return ModularParams(c * self.k, c * self.ell)
-
     def __repr__(self) -> str:
         return f"ModularParams(k={self.k}, ell={self.ell})"
 
@@ -127,63 +122,6 @@ def signed_figurate_series(params: ModularParams, sign: int, order: int) -> QSer
     return QSeries(tuple(coeffs))
 
 
-@dataclass(frozen=True, slots=True)
-class QPolynomial:
-    """Polynomial in q with integer coefficients; trailing zeros are kept as given."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("a QPolynomial needs at least one coefficient")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else 0
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        size = max(len(self.coeffs), len(other.coeffs))
-        return QPolynomial(tuple(self[i] + other[i] for i in range(size)))
-
-    def shift(self, e: int) -> "QPolynomial":
-        """Multiply by q^e."""
-        if e < 0:
-            raise ParameterError("shift exponent must be non-negative")
-        return QPolynomial((0,) * e + self.coeffs)
-
-    def dilate(self, k: int) -> "QPolynomial":
-        """Substitute q -> q^k."""
-        if k < 1:
-            raise ParameterError("dilation factor must be a positive integer")
-        if k == 1:
-            return self
-        out = [0] * (k * self.degree + 1)
-        for i, c in enumerate(self.coeffs):
-            out[k * i] = c
-        return QPolynomial(tuple(out))
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def is_palindromic(self) -> bool:
-        stripped = list(self.coeffs)
-        while stripped and stripped[-1] == 0:
-            stripped.pop()
-        return stripped == stripped[::-1] if stripped else True
-
-    def to_series(self, order: int) -> QSeries:
-        return QSeries.from_coeffs(self.coeffs, order)
-
-    def __repr__(self) -> str:
-        return f"QPolynomial{self.coeffs}"
-
-
 @lru_cache(maxsize=None)
 def _gauss_coeffs(n: int, m: int) -> tuple[int, ...]:
     # q-Pascal rule: [n, m] = [n-1, m-1] + q^m [n-1, m]
@@ -201,13 +139,14 @@ def _gauss_coeffs(n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def gaussian_binomial(n: int, m: int) -> QPolynomial:
-    """The q-binomial coefficient [n choose m]_q; zero polynomial outside 0 <= m <= n.
+def gaussian_binomial(n: int, m: int) -> QSeries:
+    """The q-binomial coefficient [n choose m]_q as a series whose order is its
+    degree m(n-m); the zero series of order 0 outside 0 <= m <= n.
 
     Computed by the q-Pascal recurrence with memoization so every intermediate
     value stays integral; at q = 1 the coefficients sum to comb(n, m).
     """
     if n < 0:
         raise ParameterError("n must be non-negative")
-    return QPolynomial(_gauss_coeffs(n, int(m)))
+    return QSeries(_gauss_coeffs(n, int(m)))
 

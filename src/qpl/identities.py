@@ -7,7 +7,6 @@ at the verified order or carries the first mismatching coefficient.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from operator import add
 from typing import Callable
@@ -185,7 +184,7 @@ def verify_hermite(s: int) -> VerificationReport:
     if s > _HERMITE_MAX_S:
         raise ParameterError(f"s is capped at {_HERMITE_MAX_S} for the exact expansion")
     parameters = {"s": s}
-    order = max(s * s, 0)
+    order = s * s
 
     lhs = ZLaurentSeries.one(order)
     for m in range(1, s + 1):
@@ -194,8 +193,9 @@ def verify_hermite(s: int) -> VerificationReport:
 
     for j in range(-s, s + 1):
         e = (j * j - j) // 2
-        poly = gaussian_binomial(2 * s, s + j)
-        expected = poly.to_series(order).shift(e) if e <= order else QSeries.zero(order)
+        # degree (s^2 - j^2) + (j^2 - j)/2 <= s^2: padding and shifting drop nothing
+        gauss = gaussian_binomial(2 * s, s + j)
+        expected = QSeries.from_coeffs(gauss.coeffs, order).shift(e)
         got = lhs.zcoeff(j)
         if got != expected:
             n = first_diff(got, expected)
@@ -222,7 +222,8 @@ def verify_hermite(s: int) -> VerificationReport:
 def _verify_hermite_substituted(params: ModularParams, s: int) -> VerificationReport:
     """Finite-prefix generating functions against Gaussian sums in q^k.
 
-    The prefix family sums to k·s^2, so that order keeps both polynomials whole.
+    The prefix family sums to k·s^2, so that order keeps both polynomials
+    whole: term j has degree k(s^2 - j^2) + M(j) <= k·s^2.
     """
     k, ell = params.k, params.ell
     order = k * s * s
@@ -231,10 +232,9 @@ def _verify_hermite_substituted(params: ModularParams, s: int) -> VerificationRe
         lhs = gf_count(prefix, CountMode(1, gamma == -1), order).to_series()
         rhs = QSeries.zero(order)
         for j in range(-s, s + 1):
-            e = figurate(params, j)
-            if e > order:
-                continue
-            term = gaussian_binomial(2 * s, s + j).dilate(k).to_series(order).shift(e)
+            gauss = gaussian_binomial(2 * s, s + j)
+            term = QSeries.from_coeffs(gauss.coeffs, order).dilate(k)
+            term = term.shift(figurate(params, j))
             if j % 2 and gamma == -1:
                 term = term.scale(-1)
             rhs = rhs + term
@@ -365,6 +365,8 @@ def battery(
         tasks.append(partial(kim_identity_check, params, order))
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # ~8 ms of import time
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda t: t(), tasks))
     return [t() for t in tasks]

@@ -47,14 +47,6 @@ class CountMode:
         """Weight per part occurrence: +1 plain, -1 length-signed."""
         return -1 if self.length_signed else 1
 
-    def label(self) -> str:
-        cap = (
-            "unrestricted"
-            if self.max_multiplicity is None
-            else ("distinct" if self.max_multiplicity == 1 else f"atmost{self.max_multiplicity}")
-        )
-        return f"{cap}{'-signed' if self.length_signed else ''}"
-
 
 UNRESTRICTED = CountMode()
 DISTINCT = CountMode(1)
@@ -72,17 +64,10 @@ class SequenceTable:
 
     values: tuple[int, ...]
     provenance: str
-    descriptor: str
 
     @property
     def order(self) -> int:
         return len(self.values) - 1
-
-    def at(self, n: int) -> int:
-        """Table value; negative indices count nothing and are 0."""
-        if n < 0:
-            return 0
-        return self.values[n]
 
     def to_series(self) -> QSeries:
         return QSeries(self.values)
@@ -141,7 +126,7 @@ def oracle_count(n: int, part_set: PartSet, mode: CountMode) -> int:
 
 def oracle_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
     values = tuple(oracle_count(n, part_set, mode) for n in range(order + 1))
-    return SequenceTable(values, ORACLE, f"{part_set.label()};{mode.label()}")
+    return SequenceTable(values, ORACLE)
 
 
 def generate_partitions(
@@ -205,7 +190,7 @@ def gf_count(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
             if top * m <= order:
                 acc = acc.mul_binomial(-g_top, top * m)
             acc = acc.div_binomial(-g, m)
-    return SequenceTable(acc.coeffs, GENERATING_FUNCTION, f"{part_set.label()};{mode.label()}")
+    return SequenceTable(acc.coeffs, GENERATING_FUNCTION)
 
 
 def quotient_series(
@@ -261,10 +246,7 @@ def recursive_count_jbar(params: ModularParams, order: int) -> SequenceTable:
     p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j)), i.e. p = 1/T(P, -1)."""
     require_interior(params, "the unrestricted-count recursion")
     den = signed_figurate_series(params, -1, order)
-    values = _figurate_quotient(QSeries.one(order), den)
-    return SequenceTable(
-        values, RECURSION, f"Jbar:{params.k},{params.ell};unrestricted"
-    )
+    return SequenceTable(_figurate_quotient(QSeries.one(order), den), RECURSION)
 
 
 def recursive_count_quotient(
@@ -282,11 +264,7 @@ def recursive_count_quotient(
         signed_figurate_series(params2, gamma2, order),
         signed_figurate_series(params1, -gamma1, order),
     )
-    descriptor = (
-        f"quotient:({params1.k},{params1.ell},{gamma1:+d})/"
-        f"({params2.k},{params2.ell},{gamma2:+d})"
-    )
-    return SequenceTable(values, RECURSION, descriptor)
+    return SequenceTable(values, RECURSION)
 
 
 def recursive_count_distinct_j(
@@ -305,9 +283,7 @@ def recursive_count_distinct_j(
         signed_figurate_series(params, gamma, order),
         signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
     )
-    return SequenceTable(
-        values, RECURSION, f"J:{params.k},{params.ell};distinct;gamma={gamma:+d}"
-    )
+    return SequenceTable(values, RECURSION)
 
 
 def recursive_count_j(params: ModularParams, gamma: int, order: int) -> SequenceTable:
@@ -324,9 +300,7 @@ def recursive_count_j(params: ModularParams, gamma: int, order: int) -> Sequence
         signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
         signed_figurate_series(params, -gamma, order),
     )
-    return SequenceTable(
-        values, RECURSION, f"J:{params.k},{params.ell};unrestricted;gamma={gamma:+d}"
-    )
+    return SequenceTable(values, RECURSION)
 
 
 def recursive_count_bounded_jbar(
@@ -342,10 +316,7 @@ def recursive_count_bounded_jbar(
     if d < 1:
         raise ParameterError("multiplicity cap d must be >= 1")
     den = signed_figurate_series(params, -1, order)
-    values = _figurate_quotient(den.dilate(d + 1), den)
-    return SequenceTable(
-        values, RECURSION, f"Jbar:{params.k},{params.ell};atmost{d}"
-    )
+    return SequenceTable(_figurate_quotient(den.dilate(d + 1), den), RECURSION)
 
 
 def recursion_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
@@ -353,8 +324,6 @@ def recursion_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceT
 
     Raises ParameterError for the combinations no recursion covers.
     """
-    if part_set.scale != 1:
-        raise ParameterError("no recursion is wired for scaled part sets")
     params = part_set.params
     if part_set.kind == "Jbar":
         if mode.max_multiplicity is None and not mode.length_signed:

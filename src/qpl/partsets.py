@@ -10,12 +10,12 @@ A part set is a residue rule (or a finite set) over the positive integers:
 * ``explicit``      -- a hand-given finite set
 
 Sets are never materialized beyond a requested bound; membership is decided
-from the rule.  An optional scale c turns a set J into cJ = {c·x | x in J}.
+from the rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .figurate import ModularParams, require_interior
@@ -33,13 +33,10 @@ class PartSet:
     params: ModularParams | None = None
     s: int | None = None
     parts: frozenset[int] | None = None
-    scale: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown part-set kind {self.kind!r}")
-        if self.scale < 1:
-            raise ParameterError("scale must be a positive integer")
 
     # constructors -------------------------------------------------------------
 
@@ -84,23 +81,12 @@ class PartSet:
             raise ParameterError("explicit parts must be positive integers")
         return cls("set", parts=fs)
 
-    def scaled(self, c: int) -> "PartSet":
-        if c < 1:
-            raise ParameterError("scale must be a positive integer")
-        return replace(self, scale=self.scale * c)
-
     # queries ---------------------------------------------------------------------
 
     def contains(self, x: int) -> bool:
         """Membership under the residue or finite rule; x below 1 is never a member."""
         if x < 1:
             return False
-        if self.scale != 1:
-            if x % self.scale:
-                return False
-            x //= self.scale
-            if x < 1:
-                return False
         if self.kind == "set":
             return x in self.parts
         k, ell = self.params.k, self.params.ell
@@ -120,53 +106,40 @@ class PartSet:
 
     def members_upto(self, n: int) -> list[int]:
         """Members <= n, ascending, without duplicates."""
-        inner = n // self.scale
-        if inner < 1:
+        if n < 1:
             return []
-        k = self.params.k if self.params is not None else 0
-        ell = self.params.ell if self.params is not None else 0
         if self.kind == "set":
-            base = sorted(p for p in self.parts if p <= inner)
-        elif self.kind == "I":
+            return sorted(p for p in self.parts if p <= n)
+        k, ell = self.params.k, self.params.ell
+        if self.kind == "I":
             start = ell % k or k
-            base = list(range(start, inner + 1, k))
-        elif self.kind == "mult":
-            base = list(range(k, inner + 1, k))
-        elif self.kind == "J":
-            base = sorted(
-                list(range(ell, inner + 1, k)) + list(range(k - ell, inner + 1, k))
+            return list(range(start, n + 1, k))
+        if self.kind == "mult":
+            return list(range(k, n + 1, k))
+        if self.kind == "J":
+            return sorted(list(range(ell, n + 1, k)) + list(range(k - ell, n + 1, k)))
+        if self.kind == "Jbar":
+            return sorted(
+                list(range(ell, n + 1, k))
+                + list(range(k - ell, n + 1, k))
+                + list(range(k, n + 1, k))
             )
-        elif self.kind == "Jbar":
-            base = sorted(
-                list(range(ell, inner + 1, k))
-                + list(range(k - ell, inner + 1, k))
-                + list(range(k, inner + 1, k))
-            )
-        else:  # Js
-            base = sorted(
-                [m for i in range(1, self.s + 1) if (m := k * (i - 1) + ell) <= inner]
-                + [
-                    m
-                    for i in range(1, self.s + 1)
-                    if (m := k * (i - 1) + k - ell) <= inner
-                ]
-            )
-        if self.scale == 1:
-            return base
-        return [self.scale * m for m in base]
+        # finite prefix
+        return sorted(
+            [m for i in range(1, self.s + 1) if (m := k * (i - 1) + ell) <= n]
+            + [m for i in range(1, self.s + 1) if (m := k * (i - 1) + k - ell) <= n]
+        )
 
     # display -------------------------------------------------------------------------
 
     def label(self) -> str:
         if self.kind == "set":
-            body = "set:" + ",".join(str(p) for p in sorted(self.parts))
-        elif self.kind == "mult":
-            body = f"mult:{self.params.k}"
-        elif self.kind == "Js":
-            body = f"Js:{self.params.k},{self.params.ell},{self.s}"
-        else:
-            body = f"{self.kind}:{self.params.k},{self.params.ell}"
-        return body if self.scale == 1 else f"{self.scale}*{body}"
+            return "set:" + ",".join(str(p) for p in sorted(self.parts))
+        if self.kind == "mult":
+            return f"mult:{self.params.k}"
+        if self.kind == "Js":
+            return f"Js:{self.params.k},{self.params.ell},{self.s}"
+        return f"{self.kind}:{self.params.k},{self.params.ell}"
 
     def __repr__(self) -> str:
         return f"PartSet({self.label()})"

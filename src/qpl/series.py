@@ -88,9 +88,6 @@ class QSeries:
         self._require_same_order(other)
         return QSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "QSeries":
-        return QSeries(tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Schoolbook Cauchy product; zero coefficients of the left factor are skipped.
 
@@ -165,12 +162,6 @@ class QSeries:
         if c == 1:
             return self
         return QSeries(tuple(c * x for x in self.coeffs))
-
-    def truncate(self, order: int) -> "QSeries":
-        """Restrict to a smaller order; never extends."""
-        if not 0 <= order <= self.order:
-            raise ParameterError(f"cannot truncate order {self.order} to {order}")
-        return QSeries(self.coeffs[: order + 1])
 
     # sparse-factor kernels ------------------------------------------------------
 
@@ -268,10 +259,6 @@ class ZLaurentSeries:
                 raise OrderMismatchError("all z-coefficients must share one q-order")
 
     @classmethod
-    def constant(cls, series: QSeries) -> "ZLaurentSeries":
-        return cls(0, (series,))
-
-    @classmethod
     def one(cls, order: int, zlo: int = 0, zhi: int = 0) -> "ZLaurentSeries":
         """The unit series on the window [zlo, zhi] (which must contain 0)."""
         if not zlo <= 0 <= zhi:
@@ -311,10 +298,6 @@ class ZLaurentSeries:
         return self.zlo + len(self.zcoeffs) - 1
 
     @property
-    def support(self) -> tuple[int, int]:
-        return (self.zlo, self.zhi)
-
-    @property
     def order(self) -> int:
         return self.zcoeffs[0].order
 
@@ -324,19 +307,7 @@ class ZLaurentSeries:
             return self.zcoeffs[j - self.zlo]
         return QSeries.zero(self.order)
 
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.zcoeffs)
-
     # arithmetic ------------------------------------------------------------------
-
-    def __add__(self, other: "ZLaurentSeries") -> "ZLaurentSeries":
-        if self.order != other.order:
-            raise OrderMismatchError("q-orders differ")
-        lo = min(self.zlo, other.zlo)
-        hi = max(self.zhi, other.zhi)
-        return ZLaurentSeries(
-            lo, tuple(self.zcoeff(j) + other.zcoeff(j) for j in range(lo, hi + 1))
-        )
 
     def __mul__(self, other: "ZLaurentSeries") -> "ZLaurentSeries":
         """Laurent convolution in z; the support is the sum of the supports."""

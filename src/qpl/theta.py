@@ -19,6 +19,7 @@ __all__ = [
     "theta_product",
     "aux_theta",
     "quasi_periodicity_residual",
+    "substituted_point",
     "theta_class",
 ]
 
@@ -62,6 +63,20 @@ class ThetaPoint:
         return cls(
             cmath.exp(_TWO_PI_I * tau), cmath.exp(_TWO_PI_I * nu), nu=nu, tau=tau
         )
+
+
+def _moved_point(point: ThetaPoint, q: complex, z: complex) -> ThetaPoint:
+    """The point (q, z), where z was computed from point.z by a power of point.q.
+
+    For nonzero point.q a z of 0 can only be an underflow, and is reported
+    as the OverflowError of a float range failure; "z must be nonzero" is
+    kept for a z that really is 0.
+    """
+    if z == 0 and point.q != 0:
+        raise OverflowError(
+            f"z underflows to 0 at |q| = {abs(point.q)}, |z| = {abs(point.z)}"
+        )
+    return ThetaPoint.from_qz(q, z)
 
 
 def _check_tol(tol: float) -> None:
@@ -193,7 +208,7 @@ def aux_theta(variant: str, point: ThetaPoint, tol: float) -> complex:
     if variant == "d":
         inner_z = -inner_z
     inner_tol = tol / max(abs(prefactor), 1e-300)
-    return prefactor * theta_series(ThetaPoint.from_qz(q, inner_z), inner_tol)
+    return prefactor * theta_series(_moved_point(point, q, inner_z), inner_tol)
 
 
 def quasi_periodicity_residual(
@@ -211,7 +226,7 @@ def quasi_periodicity_residual(
     q, z = point.q, point.z
     if q == 0:
         raise ValueError("the quasi-periodicity relation is checked for 0 < |q| < 1")
-    lhs = theta_series(ThetaPoint.from_qz(q, q * z), tol)
+    lhs = theta_series(_moved_point(point, q, q * z), tol)
     rhs = theta_series(point, tol) / z
     first = abs(lhs - rhs)
     if point.nu is None or point.tau is None:
@@ -225,18 +240,23 @@ def quasi_periodicity_residual(
     return (first, second)
 
 
-def theta_class(
-    k: int, ell: int, variant: str, point: ThetaPoint, tol: float
-) -> complex:
-    """Variant evaluated after the substitution q -> q^k, z -> q^ell·z.
+def substituted_point(point: ThetaPoint, k: int, ell: int) -> ThetaPoint:
+    """The point after the substitution q -> q^k, z -> q^ell·z.
 
     (k, ell) = (1, 0) is the identity substitution; (2, 1) produces the
-    classical Jacobi normalization.
+    classical Jacobi normalization.  Raises OverflowError when q^ell·z
+    underflows to 0.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if ell < 0:
         raise ValueError("ell must be non-negative")
     q, z = point.q, point.z
-    substituted = ThetaPoint.from_qz(q**k, (q**ell) * z)
-    return aux_theta(variant, substituted, tol)
+    return _moved_point(point, q**k, (q**ell) * z)
+
+
+def theta_class(
+    k: int, ell: int, variant: str, point: ThetaPoint, tol: float
+) -> complex:
+    """Variant evaluated at substituted_point(point, k, ell)."""
+    return aux_theta(variant, substituted_point(point, k, ell), tol)

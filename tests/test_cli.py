@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, cross-check flags."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpl.cli
 from qpl.cli import main
 
 IDENTITIES = (
@@ -17,8 +19,10 @@ IDENTITIES = (
     "sylvester", "partition_shift", "bounded_mult_shift", "apostol", "kim",
 )
 # theta inputs that once never terminated: NaN q or z, infinite z, a z whose
-# reciprocal overflows, and |q| one ulp below 1; and one whose powers of z
-# underflow to 0, which once ended in a ZeroDivisionError traceback
+# reciprocal overflows, and |q| one ulp below 1; one whose powers of z
+# underflow to 0, which once ended in a ZeroDivisionError traceback; and two
+# whose substituted z (q^ell·z, then q·z in the residual) underflows to 0,
+# which were once reported as "z must be nonzero"
 THETA_EDGES = (
     ("--q", "nan,0", "--z", "1,0"),
     ("--q", "0.3,0", "--z", "nan,0"),
@@ -26,6 +30,8 @@ THETA_EDGES = (
     ("--q", "0.3,0", "--z", "1e-310,0"),
     ("--q", "0.9999999999999999,0", "--z", "1,0"),
     ("--q", "1e-200,0", "--z", "1e-200,0"),
+    ("--q", "1e-200,0", "--z", "1e-200,0", "--variant", "d", "--k", "2", "--ell", "1"),
+    ("--q", "1e-320,0", "--z", "1e-100,0"),
 )
 
 
@@ -140,6 +146,55 @@ class TestDivisors:
         lines = out.splitlines()
         assert lines[0] == "n,kim,recursion,scan,agree"
         assert all(line.endswith(",yes") for line in lines[1:])
+
+    def test_check_json_has_the_partitions_check_shape(self, capsys):
+        code, out, _ = run(
+            capsys, "divisors", "--k", "5", "--ell", "2", "--n", "4", "--check",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        code, out, _ = run(
+            capsys, "partitions", "--set", "Jbar:3,1", "--n", "4", "--check",
+            "--format", "json",
+        )
+        assert code == 0
+        assert payload.keys() == json.loads(out).keys()
+        assert payload["schema"] == 1 and payload["agree"] is True
+        assert payload["methods"] == ["kim", "recursion", "scan"]
+        # the same rows as the CSV, which starts at n = 1
+        code, out, _ = run(
+            capsys, "divisors", "--k", "5", "--ell", "2", "--n", "4", "--check"
+        )
+        csv_rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [
+            [str(r["n"]), r["kim"], r["recursion"], r["scan"], "yes"]
+            for r in payload["rows"]
+        ] == csv_rows
+        assert [r["n"] for r in payload["rows"]] == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_disagreement_fails_at_its_row(self, capsys, monkeypatch, fmt):
+        real = qpl.cli.recursive_divisor_sums
+
+        def corrupted(params, order):
+            table = real(params, order)
+            values = list(table.values)
+            values[3] += 1
+            return dataclasses.replace(table, values=tuple(values))
+
+        monkeypatch.setattr(qpl.cli, "recursive_divisor_sums", corrupted)
+        code, out, _ = run(
+            capsys, "divisors", "--k", "5", "--ell", "2", "--n", "4", "--check",
+            "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "csv":
+            assert out.splitlines()[1:] == ["1,0,0,0,yes", "2,2,2,2,yes", "3,3,4,3,NO", "4,2,2,2,yes"]
+        else:
+            payload = json.loads(out)
+            assert payload["agree"] is False
+            assert payload["rows"][2] == {"n": 3, "kim": "3", "recursion": "4", "scan": "3"}
 
     def test_negative_n_rejected(self, capsys):
         code, out, err = run(capsys, "divisors", "--k", "3", "--ell", "1", "--n", "-2")
@@ -286,6 +341,17 @@ class TestTheta:
         code, out, err = run(capsys, "theta", "--q", "0.3,0", "--z", "1e308,0")
         assert (code, out) == (2, "")
         assert err.startswith("qpl: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edge", THETA_EDGES[-2:], ids=" ".join)
+    def test_underflowing_substituted_z_is_overflow(self, capsys, edge):
+        code, out, err = run(capsys, "theta", *edge)
+        assert (code, out) == (2, "")
+        assert err.endswith("overflows a float\n") and err.count("\n") == 1
+
+    def test_zero_substituted_z_at_q_zero(self, capsys):
+        # q = 0 makes q^ell·z exactly 0: no underflow, the point itself is invalid
+        code, out, err = run(capsys, "theta", "--q", "0,0", "--z", "1,0", "--ell", "1")
+        assert (code, out, err) == (2, "", "qpl: error: z must be nonzero\n")
 
 
     @pytest.mark.parametrize(

@@ -8,13 +8,13 @@ from qpl.errors import ParameterError
 from qpl.figurate import (
     BoundaryClass,
     ModularParams,
-    QPolynomial,
     figurate,
     figurate_enumerate,
     gaussian_binomial,
     gnomon,
     pentagonal,
 )
+from qpl.series import QSeries
 
 
 class TestParams:
@@ -155,44 +155,28 @@ def partner_of(p: ModularParams, j: int) -> int:
 
 class TestGaussian:
     def test_small_cases(self):
-        assert gaussian_binomial(2, 1).coeffs == (1, 1)
-        assert gaussian_binomial(4, 2).coeffs == (1, 1, 2, 1, 1)
-        assert gaussian_binomial(5, 0).coeffs == (1,)
-        assert gaussian_binomial(3, 5).coeffs == (0,)
-        assert gaussian_binomial(3, -1).coeffs == (0,)
+        assert gaussian_binomial(2, 1) == QSeries((1, 1))
+        assert gaussian_binomial(4, 2) == QSeries((1, 1, 2, 1, 1))
+        assert gaussian_binomial(5, 0) == QSeries((1,))
+        assert gaussian_binomial(3, 5) == QSeries((0,))
+        assert gaussian_binomial(3, -1) == QSeries((0,))
 
     def test_palindromic_and_binomial_sum(self):
         for n in range(11):
             for m in range(n + 1):
-                poly = gaussian_binomial(n, m)
-                assert poly.is_palindromic()
-                assert sum(poly.coeffs) == comb(n, m)
-                assert all(c >= 0 for c in poly.coeffs)
-                assert poly.degree == m * (n - m) or poly.coeffs == (1,)
+                g = gaussian_binomial(n, m)
+                assert g.order == m * (n - m)
+                assert g.coeffs == g.coeffs[::-1]
+                assert sum(g.coeffs) == comb(n, m)
+                assert all(c >= 0 for c in g.coeffs) and g[g.order] == 1
 
     def test_both_pascal_recurrences(self):
+        # [n, m] = [n-1, m-1] + q^m [n-1, m] = q^{n-m} [n-1, m-1] + [n-1, m]
         for n in range(1, 11):
             for m in range(n + 1):
                 lhs = gaussian_binomial(n, m)
-                a = gaussian_binomial(n - 1, m - 1)
-                b = gaussian_binomial(n - 1, m)
-                rule_a = a + b.shift(m)
-                rule_b = a.shift(n - m) + b
-                size = len(lhs.coeffs)
-                assert [lhs[i] for i in range(size)] == [rule_a[i] for i in range(size)]
-                assert [lhs[i] for i in range(size)] == [rule_b[i] for i in range(size)]
-                assert max(len(rule_a.coeffs), len(rule_b.coeffs)) >= size
-
-
-class TestQPolynomial:
-    def test_dilate_and_shift(self):
-        p = QPolynomial((1, 2, 3))
-        assert p.dilate(2).coeffs == (1, 0, 2, 0, 3)
-        assert p.shift(2).coeffs == (0, 0, 1, 2, 3)
-
-    def test_evaluate(self):
-        assert QPolynomial((1, 2, 3)).evaluate(10) == 321
-
-    def test_to_series(self):
-        s = QPolynomial((1, 2)).to_series(4)
-        assert s.coeffs == (1, 2, 0, 0, 0)
+                order = lhs.order
+                a = QSeries.from_coeffs(gaussian_binomial(n - 1, m - 1).coeffs, order)
+                b = QSeries.from_coeffs(gaussian_binomial(n - 1, m).coeffs, order)
+                assert lhs == a + b.shift(m)
+                assert lhs == a.shift(n - m) + b

@@ -1,5 +1,8 @@
 """The verification harness, including an unclamped reference expansion."""
 
+import subprocess
+import sys
+
 import pytest
 
 from qpl.errors import ParameterError
@@ -27,7 +30,7 @@ def reference_triple_product(q_order: int, factors: int) -> ZLaurentSeries:
         one_minus = QSeries.one(q_order)
         if m <= q_order:
             one_minus = one_minus - QSeries.monomial(m, q_order)
-        acc = acc * ZLaurentSeries.constant(one_minus)
+        acc = acc * ZLaurentSeries(0, (one_minus,))
         acc = acc * ZLaurentSeries.qz_binomial(1, m, -1, q_order)
         acc = acc * ZLaurentSeries.qz_binomial(1, m - 1, 1, q_order)
     return acc
@@ -239,6 +242,15 @@ class TestBattery:
         serial = [r.to_json_dict() for r in battery(3, 4, 30)]
         threaded = [r.to_json_dict() for r in battery(3, 4, 30, jobs=4)]
         assert serial == threaded
+
+    def test_cli_import_leaves_the_thread_pool_unloaded(self, qpl_env):
+        # a fresh interpreter: this one may have loaded it for jobs > 1
+        probe = "import sys, qpl.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60, env=qpl_env,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_gf_count_memo_catches_every_repeat(self):
         # work counter, not a timing: every repeated key of the battery must

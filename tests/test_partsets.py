@@ -59,7 +59,6 @@ class TestMembersUpto:
             PartSet.finite_prefix(4, 1, 3),
             PartSet.multiples(6),
             PartSet.explicit([1, 4, 9, 16]),
-            PartSet.plus_minus(5, 1).scaled(2),
         ]
         for s in sets:
             members = s.members_upto(60)
@@ -87,20 +86,6 @@ class TestFamilies:
             assert prev < cur
             assert cur <= set(full.members_upto(200))
             prev = cur
-
-    def test_scaling_rule(self):
-        base = PartSet.with_multiples(4, 1)
-        doubled = base.scaled(2)
-        for x in range(1, 80):
-            assert doubled.contains(x) == (x % 2 == 0 and base.contains(x // 2))
-
-    def test_scaled_family_equals_scaled_params(self):
-        # 2*Jbar(4,1) has the same members as Jbar(8,2)'s residue rule
-        doubled = PartSet.with_multiples(4, 1).scaled(2)
-        direct = [
-            x for x in range(1, 101) if x % 8 in (0, 2, 6)
-        ]
-        assert doubled.members_upto(100) == direct
 
     def test_interior_required(self):
         with pytest.raises(ParameterError):

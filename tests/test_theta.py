@@ -17,6 +17,7 @@ from qpl.theta import (
     _pairs_needed,
     aux_theta,
     quasi_periodicity_residual,
+    substituted_point,
     theta_class,
     theta_product,
     theta_series,
@@ -204,6 +205,11 @@ class TestAux:
         with pytest.raises(ValueError):
             aux_theta("e", ThetaPoint.from_qz(0.1, 1.0), 1e-12)
 
+    def test_underflowing_inner_z_is_overflow(self):
+        # variant d's inner z, -q^{1/2}·z = -1e-480, underflows to 0
+        with pytest.raises(OverflowError):
+            aux_theta("d", ThetaPoint.from_qz(1e-320, 1e-320), 1e-12)
+
 
 class TestQuasiPeriodicity:
     def test_sample_points(self):
@@ -221,6 +227,11 @@ class TestQuasiPeriodicity:
     def test_q_zero_excluded(self):
         with pytest.raises(ValueError):
             quasi_periodicity_residual(ThetaPoint.from_qz(0.0, 1.0), 1e-12)
+
+    def test_underflowing_qz_is_overflow(self):
+        # q·z = 1e-420 underflows to 0 for a nonzero q and z
+        with pytest.raises(OverflowError):
+            quasi_periodicity_residual(ThetaPoint.from_qz(1e-320, 1e-100), 1e-12)
 
     def test_random_sample(self):
         rng = random.Random(20260808)
@@ -260,6 +271,30 @@ class TestClass:
             theta_class(0, 1, "a", pt, 1e-12)
         with pytest.raises(ValueError):
             theta_class(2, -1, "a", pt, 1e-12)
+
+    def test_substituted_point_bits(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            q = complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+            z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            k, ell = rng.randint(1, 4), rng.randint(0, 4)
+            sub = substituted_point(ThetaPoint.from_qz(q, z), k, ell)
+            assert (sub.q, sub.z) == (q**k, (q**ell) * z)
+            assert repr((sub.q, sub.z)) == repr((q**k, (q**ell) * z))
+
+    def test_underflowing_substitution_is_overflow(self):
+        # q^ell·z = 1e-400 underflows to 0 for a nonzero q and z
+        pt = ThetaPoint.from_qz(1e-200, 1e-200)
+        with pytest.raises(OverflowError):
+            substituted_point(pt, 2, 1)
+        for variant in "abcd":
+            with pytest.raises(OverflowError):
+                theta_class(2, 1, variant, pt, 1e-12)
+
+    def test_zero_q_keeps_zero_substituted_z_invalid(self):
+        # q = 0 makes q^ell·z exactly 0 for ell >= 1, which is no underflow
+        with pytest.raises(ValueError, match="z must be nonzero"):
+            substituted_point(ThetaPoint.from_qz(0.0, 1.0), 1, 1)
 
 
 class TestExactBridge:
