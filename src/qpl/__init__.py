@@ -25,7 +25,6 @@ from .partitions import (
     DISTINCT,
     SIGNED_DISTINCT,
     SIGNED_UNRESTRICTED,
-    SequenceTable,
     UNRESTRICTED,
     at_most,
     bounded_mult_shift_identity,
@@ -44,9 +43,7 @@ from .partitions import (
     recursive_count_quotient,
 )
 from .divisors import (
-    DivisorTable,
     apostol_convolution_check,
-    divisor_series,
     divisor_sum,
     divisor_table,
     kim_identity_check,

@@ -15,7 +15,6 @@ import json
 import sys
 
 from .divisors import (
-    DivisorTable,
     apostol_convolution_check,
     divisor_table,
     kim_identity_check,
@@ -43,6 +42,7 @@ from .partitions import (
     recursion_table,
 )
 from .partsets import PartSet, parse_part_set
+from .series import QSeries
 from .theta import ThetaPoint, aux_theta, quasi_periodicity_residual, substituted_point
 
 EXIT_OK = 0
@@ -73,30 +73,32 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _emit_table(args, payload, header: list[str], rows: list[list]) -> None:
+    """Emit the JSON payload or the CSV header and rows, as --format asks."""
+    if args.format == "json":
+        _emit(_json_text(payload), args.output)
+    else:
+        _emit(_csv_text(header, rows), args.output)
+
+
 def _emit_check(tables: dict[str, tuple[int, ...]], ns: range, args) -> int:
     """Emit the methods' values side by side for every n in ns, with whether
     they agree; EXIT_FAIL unless every row agrees."""
     methods = sorted(tables)
     rows = [(n, [tables[m][n] for m in methods]) for n in ns]
     oks = [len(set(vals)) == 1 for _, vals in rows]
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "methods": methods,
-            "rows": [
-                {"n": n, **{m: str(v) for m, v in zip(methods, vals)}} for n, vals in rows
-            ],
-            "agree": all(oks),
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(
-            _csv_text(
-                ["n", *methods, "agree"],
-                [[n, *vals, "yes" if ok else "NO"] for (n, vals), ok in zip(rows, oks)],
-            ),
-            args.output,
-        )
+    payload = {
+        "schema": 1,
+        "methods": methods,
+        "rows": [{"n": n, **{m: str(v) for m, v in zip(methods, vals)}} for n, vals in rows],
+        "agree": all(oks),
+    }
+    _emit_table(
+        args,
+        payload,
+        ["n", *methods, "agree"],
+        [[n, *vals, "yes" if ok else "NO"] for (n, vals), ok in zip(rows, oks)],
+    )
     return EXIT_OK if all(oks) else EXIT_FAIL
 
 
@@ -108,11 +110,8 @@ def _emit_check(tables: dict[str, tuple[int, ...]], ns: range, args) -> int:
 def _cmd_figurate(args) -> int:
     params = ModularParams(args.k, args.ell)
     rows = figurate_enumerate(params, args.bound)
-    if args.format == "json":
-        payload = {"schema": 1, "rows": [{"j": j, "value": v} for j, v in rows]}
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(_csv_text(["j", "value"], [[j, v] for j, v in rows]), args.output)
+    payload = {"schema": 1, "rows": [{"j": j, "value": v} for j, v in rows]}
+    _emit_table(args, payload, ["j", "value"], [[j, v] for j, v in rows])
     return EXIT_OK
 
 
@@ -123,6 +122,8 @@ def _cmd_figurate(args) -> int:
 
 def _mode_from_args(args) -> CountMode:
     signed = args.gamma == -1
+    if args.d is not None and args.mode != "at-most":
+        raise ParameterError(f"--d needs --mode at-most, not --mode {args.mode}")
     if args.mode == "unrestricted":
         return CountMode(None, signed)
     if args.mode == "distinct":
@@ -139,33 +140,23 @@ def _cmd_partitions(args) -> int:
     if order < 0:
         raise ParameterError("--n must be non-negative")
     if args.check:
-        tables = {"gf": gf_count(part_set, mode, order).values}
+        tables = {"gf": gf_count(part_set, mode, order).coeffs}
         if order <= oracle_bound():
-            tables["oracle"] = oracle_table(part_set, mode, order).values
+            tables["oracle"] = oracle_table(part_set, mode, order).coeffs
         try:
-            tables["recursion"] = recursion_table(part_set, mode, order).values
+            tables["recursion"] = recursion_table(part_set, mode, order).coeffs
         except ParameterError:
             pass
         return _emit_check(tables, range(order + 1), args)
 
-    if args.method == "oracle":
-        table = oracle_table(part_set, mode, order)
-    elif args.method == "gf":
-        table = gf_count(part_set, mode, order)
-    else:
-        table = recursion_table(part_set, mode, order)
-    if args.format == "json":
-        payload = {
-            "schema": 1,
-            "provenance": table.provenance,
-            "values": [str(v) for v in table.values],
-        }
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(
-            _csv_text(["n", "value"], [[n, v] for n, v in enumerate(table.values)]),
-            args.output,
-        )
+    route, provenance = {
+        "oracle": (oracle_table, "oracle"),
+        "gf": (gf_count, "generating-function"),
+        "recursion": (recursion_table, "recursion"),
+    }[args.method]
+    values = route(part_set, mode, order).coeffs
+    payload = {"schema": 1, "provenance": provenance, "values": [str(v) for v in values]}
+    _emit_table(args, payload, ["n", "value"], [[n, v] for n, v in enumerate(values)])
     return EXIT_OK
 
 
@@ -174,7 +165,7 @@ def _cmd_partitions(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _divisor_table(params: ModularParams, order: int, method: str) -> DivisorTable:
+def _divisor_table(params: ModularParams, order: int, method: str) -> QSeries:
     if method == "scan":
         return divisor_table(PartSet.with_multiples(params.k, params.ell), order)
     if method == "recursion":
@@ -189,18 +180,12 @@ def _cmd_divisors(args) -> int:
         raise ParameterError("--n must be non-negative")
     if args.check:
         tables = {
-            m: _divisor_table(params, order, m).values for m in ("kim", "recursion", "scan")
+            m: _divisor_table(params, order, m).coeffs for m in ("kim", "recursion", "scan")
         }
         return _emit_check(tables, range(1, order + 1), args)
-    values = _divisor_table(params, order, args.method).values[1:]
-    if args.format == "json":
-        payload = {"schema": 1, "values": [str(v) for v in values]}
-        _emit(_json_text(payload), args.output)
-    else:
-        _emit(
-            _csv_text(["n", "value"], [[n + 1, v] for n, v in enumerate(values)]),
-            args.output,
-        )
+    values = _divisor_table(params, order, args.method).coeffs[1:]
+    payload = {"schema": 1, "values": [str(v) for v in values]}
+    _emit_table(args, payload, ["n", "value"], [[n + 1, v] for n, v in enumerate(values)])
     return EXIT_OK
 
 

@@ -10,31 +10,16 @@ sum_j (-1)^j q^{M(j)}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
 from . import reports
+from .errors import ParameterError
 from .figurate import ModularParams, require_interior, signed_figurate_series
 from .partsets import PartSet
 from .partitions import SIGNED_DISTINCT, UNRESTRICTED, _figurate_quotient, gf_count
 from .reports import VerificationReport, compare_series
 from .series import QSeries
-
-
-@dataclass(frozen=True)
-class DivisorTable:
-    """Values f(1..N); index 0 is a zero sentinel so values[n] is f(n)."""
-
-    values: tuple[int, ...]
-    part_set: PartSet
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def to_series(self) -> QSeries:
-        return QSeries(self.values)
 
 
 def divisor_sum(part_set: PartSet, n: int) -> int:
@@ -55,17 +40,14 @@ def divisor_sum(part_set: PartSet, n: int) -> int:
     return total
 
 
-def divisor_table(part_set: PartSet, order: int) -> DivisorTable:
-    values = (0,) + tuple(divisor_sum(part_set, n) for n in range(1, order + 1))
-    return DivisorTable(values, part_set)
-
-
-def divisor_series(part_set: PartSet, order: int) -> QSeries:
+def divisor_table(part_set: PartSet, order: int) -> QSeries:
     """Generating function of the restricted divisor sums (constant term 0)."""
-    return divisor_table(part_set, order).to_series()
+    if order < 0:
+        raise ParameterError("order must be non-negative")
+    return QSeries((0,) + tuple(divisor_sum(part_set, n) for n in range(1, order + 1)))
 
 
-def recursive_divisor_sums(params: ModularParams, order: int) -> DivisorTable:
+def recursive_divisor_sums(params: ModularParams, order: int) -> QSeries:
     """f(n) for the residues-with-multiples family by the finite recursion
 
         f(n) = sum_{j != 0} (-1)^{j-1} f(n - M(j))  [+ (-1)^{i-1} M(i) when n = M(i)]
@@ -74,11 +56,10 @@ def recursive_divisor_sums(params: ModularParams, order: int) -> DivisorTable:
     """
     require_interior(params, "the divisor-sum recursion")
     den = signed_figurate_series(params, -1, order)
-    values = _figurate_quotient(den.q_dq().scale(-1), den)
-    return DivisorTable(values, PartSet.with_multiples(params.k, params.ell))
+    return _figurate_quotient(den.q_dq().scale(-1), den)
 
 
-def shift_formula_divisor_sums(params: ModularParams, order: int) -> DivisorTable:
+def shift_formula_divisor_sums(params: ModularParams, order: int) -> QSeries:
     """f(n) by the figurate-shift formula unwound from F = -(q·g1')·f:
 
         f(n) = sum_{j != 0} (-1)^{j-1} M(j) · p(n - M(j); Jbar)
@@ -87,9 +68,9 @@ def shift_formula_divisor_sums(params: ModularParams, order: int) -> DivisorTabl
     f = -(q·T')·p, a product whose left factor is sparse.
     """
     jbar = PartSet.with_multiples(params.k, params.ell)
-    p = gf_count(jbar, UNRESTRICTED, order).to_series()
+    p = gf_count(jbar, UNRESTRICTED, order)
     shifts = signed_figurate_series(params, -1, order).q_dq().scale(-1)
-    return DivisorTable((shifts * p).coeffs, jbar)
+    return shifts * p
 
 
 def apostol_convolution_check(params: ModularParams, order: int) -> VerificationReport:
@@ -102,8 +83,8 @@ def apostol_convolution_check(params: ModularParams, order: int) -> Verification
     require_interior(params, "the divisor convolution check")
     parameters = {"k": params.k, "ell": params.ell}
     jbar = PartSet.with_multiples(params.k, params.ell)
-    r = gf_count(jbar, SIGNED_DISTINCT, order).values
-    f = divisor_table(jbar, order).values
+    r = gf_count(jbar, SIGNED_DISTINCT, order).coeffs
+    f = divisor_table(jbar, order).coeffs
     for n in range(1, order + 1):
         lhs = n * r[n]
         rhs = -f[n] - sum(map(mul, r[1:n], f[n - 1 : 0 : -1]))
@@ -125,12 +106,12 @@ def kim_identity_check(params: ModularParams, order: int) -> VerificationReport:
     parameters = {"k": params.k, "ell": params.ell}
     jbar = PartSet.with_multiples(params.k, params.ell)
 
-    g1 = gf_count(jbar, SIGNED_DISTINCT, order).to_series()
-    f_series = gf_count(jbar, UNRESTRICTED, order).to_series()
-    scan = divisor_series(jbar, order)
+    g1 = gf_count(jbar, SIGNED_DISTINCT, order)
+    f_series = gf_count(jbar, UNRESTRICTED, order)
+    scan = divisor_table(jbar, order)
 
     rep = compare_series("kim", parameters, order, scan, g1.q_dq().scale(-1) * f_series)
     if not rep.passed:
         return rep
-    formula = shift_formula_divisor_sums(params, order).to_series()
+    formula = shift_formula_divisor_sums(params, order)
     return compare_series("kim", parameters, order, scan, formula)

@@ -229,7 +229,7 @@ def _verify_hermite_substituted(params: ModularParams, s: int) -> VerificationRe
     order = k * s * s
     prefix = PartSet.finite_prefix(k, ell, s)
     for gamma in (1, -1):
-        lhs = gf_count(prefix, CountMode(1, gamma == -1), order).to_series()
+        lhs = gf_count(prefix, CountMode(1, gamma == -1), order)
         rhs = QSeries.zero(order)
         for j in range(-s, s + 1):
             gauss = gaussian_binomial(2 * s, s + j)
@@ -302,9 +302,7 @@ def verify_boundary_half(k: int, q_order: int) -> VerificationReport:
 def verify_sylvester(params: ModularParams, q_order: int) -> VerificationReport:
     """Signed distinct counts on residues-with-multiples equal the signed
     figurate indicator: (-1)^j at M(j), zero elsewhere (interior parameters)."""
-    lhs = gf_count(
-        PartSet.with_multiples(params.k, params.ell), SIGNED_DISTINCT, q_order
-    ).to_series()
+    lhs = gf_count(PartSet.with_multiples(params.k, params.ell), SIGNED_DISTINCT, q_order)
     rhs = signed_figurate_series(params, -1, q_order)
     return compare_series(
         "sylvester", {"k": params.k, "ell": params.ell}, q_order, lhs, rhs

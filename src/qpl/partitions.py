@@ -5,6 +5,7 @@ over the actual parts, (2) expansion of the product generating function, and
 (3) a recursion over modular figurate shifts, which divides one signed
 figurate series by another.  The three routes share no code beyond the
 part-set vocabulary, so exact agreement between them is a meaningful check.
+Each route returns a QSeries whose coefficient of q^n is the count of n.
 
 Counting modes: parts may be unrestricted, distinct, or capped at d copies;
 the length-signed variant weights a partition by (-1)^length.
@@ -25,10 +26,6 @@ from .series import QSeries, triple_pochhammer
 
 DEFAULT_ORACLE_BOUND = 120
 ORACLE_BOUND_ENV = "QPL_ORACLE_BOUND"
-
-ORACLE = "oracle"
-GENERATING_FUNCTION = "generating-function"
-RECURSION = "recursion"
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,21 +53,6 @@ SIGNED_DISTINCT = CountMode(1, True)
 
 def at_most(d: int, length_signed: bool = False) -> CountMode:
     return CountMode(d, length_signed)
-
-
-@dataclass(frozen=True)
-class SequenceTable:
-    """A prefix of an integer sequence together with how it was computed."""
-
-    values: tuple[int, ...]
-    provenance: str
-
-    @property
-    def order(self) -> int:
-        return len(self.values) - 1
-
-    def to_series(self) -> QSeries:
-        return QSeries(self.values)
 
 
 def oracle_bound() -> int:
@@ -124,9 +106,11 @@ def oracle_count(n: int, part_set: PartSet, mode: CountMode) -> int:
     return ways[n]
 
 
-def oracle_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
-    values = tuple(oracle_count(n, part_set, mode) for n in range(order + 1))
-    return SequenceTable(values, ORACLE)
+def oracle_table(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
+    """oracle_count for n = 0..order, as a series."""
+    if order < 0:
+        raise ParameterError("order must be non-negative")
+    return QSeries(tuple(oracle_count(n, part_set, mode) for n in range(order + 1)))
 
 
 def generate_partitions(
@@ -166,7 +150,7 @@ def generate_partitions(
 
 
 @lru_cache(maxsize=16)
-def gf_count(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
+def gf_count(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
     """Expand the product generating function over members <= order.
 
     Per part m the factor is 1/(1 - γq^m) unrestricted, (1 + γq^m) distinct,
@@ -175,6 +159,7 @@ def gf_count(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
 
     Memoized in 16 entries: every repeat in the battery falls within one
     (k, ell) block of at most 9 keys, and more entries would only hold memory.
+    A QSeries is frozen, so callers may share the cached one.
     """
     g = mode.gamma
     cap = mode.max_multiplicity
@@ -190,7 +175,7 @@ def gf_count(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
             if top * m <= order:
                 acc = acc.mul_binomial(-g_top, top * m)
             acc = acc.div_binomial(-g, m)
-    return SequenceTable(acc.coeffs, GENERATING_FUNCTION)
+    return acc
 
 
 def quotient_series(
@@ -216,7 +201,7 @@ def quotient_series(
 # x·den = num gives the paper's shift recursion.
 
 
-def _figurate_quotient(num: QSeries, den: QSeries) -> tuple[int, ...]:
+def _figurate_quotient(num: QSeries, den: QSeries) -> QSeries:
     """Coefficients of num/den for den[0] = 1, by long division:
 
         vals[n] = num[n] - sum_{m >= 1, den[m] != 0} den[m]·vals[n - m].
@@ -238,20 +223,20 @@ def _figurate_quotient(num: QSeries, den: QSeries) -> tuple[int, ...]:
                 break
             acc -= c * vals[n - m]
         vals[n] = acc
-    return tuple(vals)
+    return QSeries(tuple(vals))
 
 
-def recursive_count_jbar(params: ModularParams, order: int) -> SequenceTable:
+def recursive_count_jbar(params: ModularParams, order: int) -> QSeries:
     """p(n; residues-with-multiples) by the Euler-style recursion
     p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j)), i.e. p = 1/T(P, -1)."""
     require_interior(params, "the unrestricted-count recursion")
     den = signed_figurate_series(params, -1, order)
-    return SequenceTable(_figurate_quotient(QSeries.one(order), den), RECURSION)
+    return _figurate_quotient(QSeries.one(order), den)
 
 
 def recursive_count_quotient(
     params1: ModularParams, gamma1: int, params2: ModularParams, gamma2: int, order: int
-) -> SequenceTable:
+) -> QSeries:
     """The quotient sequence s = T(P2, γ2)/T(P1, -γ1): s(0) = 1 and for n >= 1
 
         s(n) = sum_{j != 0} -(-γ1)^j s(n - M1(j))  + sum_{i: M2(i) = n} γ2^i.
@@ -260,16 +245,15 @@ def recursive_count_quotient(
     require_interior(params2, "the quotient recursion (numerator)")
     if gamma1 not in (1, -1) or gamma2 not in (1, -1):
         raise ParameterError("gamma values must be +1 or -1")
-    values = _figurate_quotient(
+    return _figurate_quotient(
         signed_figurate_series(params2, gamma2, order),
         signed_figurate_series(params1, -gamma1, order),
     )
-    return SequenceTable(values, RECURSION)
 
 
 def recursive_count_distinct_j(
     params: ModularParams, gamma: int, order: int
-) -> SequenceTable:
+) -> QSeries:
     """Distinct-part counts on the plus/minus family (signed when γ = -1):
 
         x(n) = sum_{j != 0} (-1)^{j-1} x(n - k·ω(j))  [+ γ^i when n = M(i)]
@@ -279,14 +263,13 @@ def recursive_count_distinct_j(
     require_interior(params, "the distinct-count recursion")
     if gamma not in (1, -1):
         raise ParameterError("gamma must be +1 or -1")
-    values = _figurate_quotient(
+    return _figurate_quotient(
         signed_figurate_series(params, gamma, order),
         signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
     )
-    return SequenceTable(values, RECURSION)
 
 
-def recursive_count_j(params: ModularParams, gamma: int, order: int) -> SequenceTable:
+def recursive_count_j(params: ModularParams, gamma: int, order: int) -> QSeries:
     """Unrestricted counts on the plus/minus family (signed when γ = -1):
 
         x(n) = sum_{j != 0} -(-γ)^j x(n - M(j))  [+ (-1)^i when n = k·ω(i)],
@@ -296,16 +279,15 @@ def recursive_count_j(params: ModularParams, gamma: int, order: int) -> Sequence
     require_interior(params, "the unrestricted-J recursion")
     if gamma not in (1, -1):
         raise ParameterError("gamma must be +1 or -1")
-    values = _figurate_quotient(
+    return _figurate_quotient(
         signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
         signed_figurate_series(params, -gamma, order),
     )
-    return SequenceTable(values, RECURSION)
 
 
 def recursive_count_bounded_jbar(
     params: ModularParams, d: int, order: int
-) -> SequenceTable:
+) -> QSeries:
     """Counts with every part used at most d times, on residues-with-multiples:
 
         x(n) = sum_{j != 0} (-1)^{j-1} x(n - M(j))  [+ (-1)^i when n = (d+1)·M(i)],
@@ -316,10 +298,10 @@ def recursive_count_bounded_jbar(
     if d < 1:
         raise ParameterError("multiplicity cap d must be >= 1")
     den = signed_figurate_series(params, -1, order)
-    return SequenceTable(_figurate_quotient(den.dilate(d + 1), den), RECURSION)
+    return _figurate_quotient(den.dilate(d + 1), den)
 
 
-def recursion_table(part_set: PartSet, mode: CountMode, order: int) -> SequenceTable:
+def recursion_table(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
     """The recursion route for a part set and counting mode.
 
     Raises ParameterError for the combinations no recursion covers.
@@ -372,18 +354,18 @@ def partition_shift_identities(
     jbar_set = PartSet.with_multiples(k, ell)
     mult_set = PartSet.multiples(k)
 
-    lhs1 = gf_count(j_set, CountMode(1, gamma == -1), order).to_series()
+    lhs1 = gf_count(j_set, CountMode(1, gamma == -1), order)
     rhs1 = signed_figurate_series(params, gamma, order) * gf_count(
         mult_set, UNRESTRICTED, order
-    ).to_series()
+    )
     rep = compare_series(ident, parameters, order, lhs1, rhs1)
     if not rep.passed:
         return rep
 
-    lhs2 = gf_count(j_set, UNRESTRICTED, order).to_series()
+    lhs2 = gf_count(j_set, UNRESTRICTED, order)
     rhs2 = signed_figurate_series(ModularParams(3, 1), -1, order).dilate(k) * gf_count(
         jbar_set, UNRESTRICTED, order
-    ).to_series()
+    )
     return compare_series(ident, parameters, order, lhs2, rhs2)
 
 
@@ -400,8 +382,8 @@ def bounded_mult_shift_identity(
     parameters = {"k": params.k, "ell": params.ell, "d": d}
     jbar_set = PartSet.with_multiples(params.k, params.ell)
 
-    lhs = gf_count(jbar_set, at_most(d), order).to_series()
+    lhs = gf_count(jbar_set, at_most(d), order)
     rhs = signed_figurate_series(params, -1, order).dilate(d + 1) * gf_count(
         jbar_set, UNRESTRICTED, order
-    ).to_series()
+    )
     return compare_series("bounded_mult_shift", parameters, order, lhs, rhs)

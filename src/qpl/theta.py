@@ -69,10 +69,14 @@ def _moved_point(point: ThetaPoint, q: complex, z: complex) -> ThetaPoint:
     """The point (q, z), where z was computed from point.z by a power of point.q.
 
     For nonzero point.q a z of 0 can only be an underflow, and is reported
-    as the OverflowError of a float range failure; "z must be nonzero" is
-    kept for a z that really is 0.
+    as the OverflowError of a float range failure.  At point.q = 0 it is the
+    exact q^ell·z of substituted_point (the other callers refuse q = 0
+    first), and the ValueError names that cause, not point.z, which is
+    nonzero.
     """
-    if z == 0 and point.q != 0:
+    if z == 0:
+        if point.q == 0:
+            raise ValueError("q^ell·z is 0 at q = 0")
         raise OverflowError(
             f"z underflows to 0 at |q| = {abs(point.q)}, |z| = {abs(point.z)}"
         )
@@ -245,7 +249,7 @@ def substituted_point(point: ThetaPoint, k: int, ell: int) -> ThetaPoint:
 
     (k, ell) = (1, 0) is the identity substitution; (2, 1) produces the
     classical Jacobi normalization.  Raises OverflowError when q^ell·z
-    underflows to 0.
+    underflows to 0, and ValueError when it is 0 because q = 0 and ell >= 1.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")

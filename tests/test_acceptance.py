@@ -103,7 +103,7 @@ def test_c04_hermite():
             for gamma in (1, -1):
                 table = gf_count(prefix, CountMode(1, gamma == -1), order)
                 for n in range(order + 1):
-                    assert table.values[n] == oracle_count(n, prefix, CountMode(1, gamma == -1))
+                    assert table.coeffs[n] == oracle_count(n, prefix, CountMode(1, gamma == -1))
     report(4, "finite product identity exact for s=0..6; substituted prefix "
               "forms match the oracle for (3,1),(4,1),(5,2), s<=4")
 
@@ -128,12 +128,12 @@ def test_c06_signed_distinct_support():
 def test_c07_unrestricted_recursion():
     for params in GRID:
         jbar = PartSet.with_multiples(params.k, params.ell)
-        rec = recursive_count_jbar(params, 120).values
-        gf = gf_count(jbar, UNRESTRICTED, 120).values
+        rec = recursive_count_jbar(params, 120).coeffs
+        gf = gf_count(jbar, UNRESTRICTED, 120).coeffs
         assert rec == gf
         for n in range(121):
             assert rec[n] == oracle_count(n, jbar, UNRESTRICTED)
-    row = recursive_count_jbar(ModularParams(3, 1), 50).values
+    row = recursive_count_jbar(ModularParams(3, 1), 50).coeffs
     assert row[10] == 42
     assert row[50] == 204226
     report(7, "Euler-style recursion agrees with series and oracle to n=120 on "
@@ -148,7 +148,7 @@ def test_c08_quotient_recursions():
                 for g2 in (1, -1):
                     rec = recursive_count_quotient(p1, g1, p2, g2, 120)
                     series = quotient_series(p1, g1, p2, g2, 120)
-                    assert rec.values == series.coeffs
+                    assert rec.coeffs == series.coeffs
                     tuples += 1
     assert tuples >= 20
     # the two family recursions against their own quotient expansions
@@ -157,10 +157,10 @@ def test_c08_quotient_recursions():
         for gamma in (1, -1):
             distinct = recursive_count_distinct_j(params, gamma, 120)
             h1 = quotient_series(ModularParams(3 * k, k), 1, params, gamma, 120)
-            assert distinct.values == h1.coeffs
+            assert distinct.coeffs == h1.coeffs
             unrestricted = recursive_count_j(params, gamma, 120)
             h2 = quotient_series(params, gamma, ModularParams(3 * k, k), -1, 120)
-            assert unrestricted.values == h2.coeffs
+            assert unrestricted.coeffs == h2.coeffs
     report(8, f"quotient recursion equals series division for {tuples} tuples "
               "and both family recursions across the grid (n <= 120)")
 
@@ -179,10 +179,10 @@ def test_c10_bounded_multiplicity():
     for params in GRID:
         jbar = PartSet.with_multiples(params.k, params.ell)
         for d in (1, 2, 3):
-            rec = recursive_count_bounded_jbar(params, d, 100).values
+            rec = recursive_count_bounded_jbar(params, d, 100).coeffs
             for n in range(101):
                 assert rec[n] == oracle_count(n, jbar, at_most(d))
-    row = recursive_count_bounded_jbar(ModularParams(3, 1), 1, 10).values
+    row = recursive_count_bounded_jbar(ModularParams(3, 1), 1, 10).coeffs
     assert row == (1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10)
     report(10, "bounded-multiplicity recursion matches the oracle for d=1..3 "
                "to n=100; the distinct row for (3,1) is frozen")
@@ -193,8 +193,8 @@ def test_c11_divisor_recursion():
         jbar = PartSet.with_multiples(params.k, params.ell)
         rec = recursive_divisor_sums(params, 200)
         for n in range(1, 201):
-            assert rec.values[n] == divisor_sum(jbar, n)
-    sigma12 = recursive_divisor_sums(ModularParams(3, 1), 12).values[12]
+            assert rec.coeffs[n] == divisor_sum(jbar, n)
+    sigma12 = recursive_divisor_sums(ModularParams(3, 1), 12).coeffs[12]
     assert sigma12 == 28
     report(11, "divisor-sum recursion equals direct scans to n=200 on the "
                "grid; sigma(12)=28")

@@ -116,6 +116,15 @@ class TestPartitions:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ("unrestricted", "distinct"))
+    def test_d_without_at_most_rejected(self, capsys, mode):
+        code, out, err = run(
+            capsys, "partitions", "--set", "Jbar:3,1", "--n", "5", "--mode", mode,
+            "--d", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"qpl: error: --d needs --mode at-most, not --mode {mode}\n"
+
     def test_negative_n_rejected(self, capsys):
         code, out, err = run(capsys, "partitions", "--set", "Jbar:3,1", "--n", "-1")
         assert (code, out) == (2, "")
@@ -179,9 +188,9 @@ class TestDivisors:
 
         def corrupted(params, order):
             table = real(params, order)
-            values = list(table.values)
+            values = list(table.coeffs)
             values[3] += 1
-            return dataclasses.replace(table, values=tuple(values))
+            return dataclasses.replace(table, coeffs=tuple(values))
 
         monkeypatch.setattr(qpl.cli, "recursive_divisor_sums", corrupted)
         code, out, _ = run(
@@ -351,7 +360,7 @@ class TestTheta:
     def test_zero_substituted_z_at_q_zero(self, capsys):
         # q = 0 makes q^ell·z exactly 0: no underflow, the point itself is invalid
         code, out, err = run(capsys, "theta", "--q", "0,0", "--z", "1,0", "--ell", "1")
-        assert (code, out, err) == (2, "", "qpl: error: z must be nonzero\n")
+        assert (code, out, err) == (2, "", "qpl: error: q^ell·z is 0 at q = 0\n")
 
 
     @pytest.mark.parametrize(
@@ -416,7 +425,7 @@ _partitions_argv = st.tuples(
     ),
     st.just("--mode"), st.sampled_from(["unrestricted", "distinct", "at-most"]),
     st.just("--gamma"), st.sampled_from(["1", "-1"]),
-    st.just("--d"), _small,
+    st.one_of(st.just(()), st.tuples(st.just("--d"), _small)),
     st.just("--n"), _orders,
     st.one_of(
         st.just("--check"),

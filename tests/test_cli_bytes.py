@@ -6,7 +6,9 @@ recursions became quotients of figurate series, the theta rows from the code
 before the series' pair count was found in closed form); any change to a
 printed byte fails here.  `divisors --check --format json` printed CSV until
 the two cross-checks shared one emitter, so its digest is of the first JSON
-it printed, whose rows tests/test_cli.py checks against the CSV rows.
+it printed, whose rows tests/test_cli.py checks against the CSV rows.  The
+`partitions --format json` rows, which print each route's provenance, were
+taken from the code before the routes returned plain series.
 """
 
 import contextlib
@@ -48,6 +50,10 @@ INVOCATIONS = (
             ("--method", "recursion"),
             ("--check",),
         )
+    ]
+    + [
+        ("partitions", "--set", "Jbar:3,1", "--n", "30", "--method", m, "--format", "json")
+        for m in ("oracle", "gf", "recursion")
     ]
     + [
         (*_DIVISORS, *tail)
@@ -100,6 +106,9 @@ DIGESTS = {
     "partitions --set J:5,2 --gamma -1 --n 30 --method gf": (0, "e45e7567f0046c7c3255937d859bdedc1d98d9253a24c464b5f442aa2a7e6851"),
     "partitions --set J:5,2 --gamma -1 --n 30 --method recursion": (0, "e45e7567f0046c7c3255937d859bdedc1d98d9253a24c464b5f442aa2a7e6851"),
     "partitions --set J:5,2 --gamma -1 --n 30 --check": (0, "4d222a0e4e0bfd45da6f1787d89731c803cd38f71d9bf5c5bed7d71e6c4a51e8"),
+    "partitions --set Jbar:3,1 --n 30 --method oracle --format json": (0, "9d9e64e11a2f29bb9de8b82d26e7282f7174daa626322584b7cf6ec724217a6e"),
+    "partitions --set Jbar:3,1 --n 30 --method gf --format json": (0, "a6bae8d0e9c540b704427090e0dc19b479a8ea42e0ed15b42a163b5796873cb9"),
+    "partitions --set Jbar:3,1 --n 30 --method recursion --format json": (0, "7de1e865b2e1911a6f7d440a2862e1922c9e8e1a34fad177a1c06ee09c4daa01"),
     "divisors --k 5 --ell 2 --n 40 --method scan": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
     "divisors --k 5 --ell 2 --n 40 --method recursion": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
     "divisors --k 5 --ell 2 --n 40 --method kim": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),

@@ -4,7 +4,6 @@ import pytest
 
 from qpl.divisors import (
     apostol_convolution_check,
-    divisor_series,
     divisor_sum,
     divisor_table,
     kim_identity_check,
@@ -51,15 +50,15 @@ class TestDivisorSum:
 class TestRecursion:
     def test_sigma_row(self):
         t = recursive_divisor_sums(ModularParams(3, 1), 10)
-        assert t.values[1:] == (1, 3, 4, 7, 6, 12, 8, 15, 13, 18)
-        assert t.values[0] == 0
+        assert t.coeffs[1:] == (1, 3, 4, 7, 6, 12, 8, 15, 13, 18)
+        assert t.coeffs[0] == 0
 
     def test_restricted_example(self):
-        assert recursive_divisor_sums(ModularParams(4, 1), 6).values[6] == 4
+        assert recursive_divisor_sums(ModularParams(4, 1), 6).coeffs[6] == 4
 
     def test_first_gnomon(self):
         # n = ell fires only the extra branch
-        assert recursive_divisor_sums(ModularParams(5, 2), 2).values[2] == 2
+        assert recursive_divisor_sums(ModularParams(5, 2), 2).coeffs[2] == 2
         assert divisor_sum(PartSet.with_multiples(5, 2), 2) == 2
 
     @pytest.mark.parametrize("k,ell", [(3, 1), (4, 1), (5, 2), (7, 3), (8, 3)])
@@ -68,7 +67,7 @@ class TestRecursion:
         jbar = PartSet.with_multiples(k, ell)
         rec = recursive_divisor_sums(params, 120)
         for n in range(1, 121):
-            assert rec.values[n] == divisor_sum(jbar, n)
+            assert rec.coeffs[n] == divisor_sum(jbar, n)
 
     def test_boundary_rejected(self):
         for k, ell in [(4, 2), (3, 0), (2, 1)]:
@@ -82,17 +81,17 @@ class TestSeriesRelations:
         # q·f' = f·F  and  q·g1' = -F·g1
         order = 80
         jbar = PartSet.with_multiples(k, ell)
-        f = gf_count(jbar, UNRESTRICTED, order).to_series()
-        g1 = gf_count(jbar, SIGNED_DISTINCT, order).to_series()
-        big_f = divisor_series(jbar, order)
+        f = gf_count(jbar, UNRESTRICTED, order)
+        g1 = gf_count(jbar, SIGNED_DISTINCT, order)
+        big_f = divisor_table(jbar, order)
         assert f.q_dq() == f * big_f
         assert g1.q_dq() == (big_f * g1).scale(-1)
 
     def test_product_inverse(self):
         order = 60
         jbar = PartSet.with_multiples(5, 2)
-        f = gf_count(jbar, UNRESTRICTED, order).to_series()
-        g1 = gf_count(jbar, SIGNED_DISTINCT, order).to_series()
+        f = gf_count(jbar, UNRESTRICTED, order)
+        g1 = gf_count(jbar, SIGNED_DISTINCT, order)
         from qpl.series import QSeries
 
         assert g1 * f == QSeries.one(order)
@@ -110,7 +109,10 @@ class TestChecks:
     def test_kim_order_zero_vacuous(self):
         assert kim_identity_check(ModularParams(3, 1), 0).passed
 
+    def test_table_rejects_negative_order(self):
+        with pytest.raises(ParameterError, match="order must be non-negative"):
+            divisor_table(PartSet.with_multiples(3, 1), -3)
+
     def test_table_metadata(self):
         t = divisor_table(PartSet.with_multiples(4, 1), 12)
         assert t.order == 12
-        assert t.part_set.label() == "Jbar:4,1"

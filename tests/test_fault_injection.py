@@ -42,9 +42,9 @@ def fresh_gf_count_memo():
     qpl.partitions.gf_count.cache_clear()
 
 
-def corrupt(monkeypatch, module, name, e, *key, field="values"):
+def corrupt(monkeypatch, module, name, e, *key):
     """Replace module.name so calls whose leading arguments equal ``key`` get
-    one added to the coefficient at exponent e of the result's ``field``;
+    one added to the coefficient at exponent e of the resulting QSeries;
     returns the true value there."""
     real = getattr(module, name)
     truth = []
@@ -53,10 +53,10 @@ def corrupt(monkeypatch, module, name, e, *key, field="values"):
         table = real(*args)
         if args[: len(key)] != key:
             return table
-        values = list(getattr(table, field))
+        values = list(table.coeffs)
         truth.append(values[e])
         values[e] += 1
-        return dataclasses.replace(table, **{field: tuple(values)})
+        return dataclasses.replace(table, coeffs=tuple(values))
 
     monkeypatch.setattr(module, name, corrupted)
     return truth
@@ -108,7 +108,7 @@ def test_kim_formula_stage(monkeypatch):
     truth = corrupt(monkeypatch, qpl.divisors, "shift_formula_divisor_sums", E)
     rep = kim_identity_check(ModularParams(5, 2), ORDER)
     assert_fails_at(rep, E, truth[0], truth[0] + 1)
-    assert truth[0] == divisor_table(PartSet.with_multiples(5, 2), ORDER).values[E]
+    assert truth[0] == divisor_table(PartSet.with_multiples(5, 2), ORDER).coeffs[E]
 
 
 def test_triple_product(monkeypatch):
@@ -129,17 +129,13 @@ def test_triple_product(monkeypatch):
 
 
 def test_specialized(monkeypatch):
-    truth = corrupt(
-        monkeypatch, qpl.identities, "triple_pochhammer", E, 5, 2, 1, field="coeffs"
-    )
+    truth = corrupt(monkeypatch, qpl.identities, "triple_pochhammer", E, 5, 2, 1)
     rep = verify_specialized(ModularParams(5, 2), 1, ORDER)
     assert_fails_at(rep, E, truth[0] + 1, truth[0])
 
 
 def test_berger_second_sign(monkeypatch):
-    truth = corrupt(
-        monkeypatch, qpl.identities, "triple_pochhammer", E, 4, 1, -1, field="coeffs"
-    )
+    truth = corrupt(monkeypatch, qpl.identities, "triple_pochhammer", E, 4, 1, -1)
     rep = verify_berger(4, ORDER)
     assert_fails_at(rep, E, truth[0] + 1, truth[0])
     assert rep.parameters == {"k": 4, "sign": -1}
@@ -147,9 +143,7 @@ def test_berger_second_sign(monkeypatch):
 
 def test_hermite_product_stage(monkeypatch):
     # [6 choose 4]_q feeds the z^1 coefficient at s = 3, whose shift q^0 is trivial
-    truth = corrupt(
-        monkeypatch, qpl.identities, "gaussian_binomial", 2, 6, 4, field="coeffs"
-    )
+    truth = corrupt(monkeypatch, qpl.identities, "gaussian_binomial", 2, 6, 4)
     rep = verify_hermite(3)
     assert_fails_at(rep, 2, truth[0], truth[0] + 1, z=1)
 

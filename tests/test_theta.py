@@ -293,7 +293,7 @@ class TestClass:
 
     def test_zero_q_keeps_zero_substituted_z_invalid(self):
         # q = 0 makes q^ell·z exactly 0 for ell >= 1, which is no underflow
-        with pytest.raises(ValueError, match="z must be nonzero"):
+        with pytest.raises(ValueError, match=r"q\^ell·z is 0 at q = 0"):
             substituted_point(ThetaPoint.from_qz(0.0, 1.0), 1, 1)
 
 
