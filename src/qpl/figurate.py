@@ -116,6 +116,8 @@ def signed_figurate_series(params: ModularParams, sign: int, order: int) -> QSer
     Colliding indices at the boundary classes add up.  The scaled forms
     sum_j sign^j q^{c·M(j)} are this series dilated by c.
     """
+    if order < 0:
+        raise ParameterError("order must be non-negative")
     coeffs = [0] * (order + 1)
     for j, v in figurate_enumerate(params, order):
         coeffs[v] += sign if j % 2 else 1

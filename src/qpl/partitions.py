@@ -61,9 +61,14 @@ def oracle_bound() -> int:
     if raw is None:
         return DEFAULT_ORACLE_BOUND
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
         raise OracleBoundError(f"{ORACLE_BOUND_ENV} must be an integer, got {raw!r}")
+    if bound < 0:
+        raise OracleBoundError(
+            f"{ORACLE_BOUND_ENV} must be a non-negative integer, got {raw!r}"
+        )
+    return bound
 
 
 # --------------------------------------------------------------------------
@@ -75,7 +80,9 @@ def oracle_count(n: int, part_set: PartSet, mode: CountMode) -> int:
     """Exact (signed) partition count by dynamic programming over the real parts.
 
     Deliberately simple so it stays obviously correct; refuses n beyond the
-    configured bound.  Negative n counts nothing.
+    configured bound.  Negative n counts nothing.  The count is read from a
+    pass to the next power of two at or above n, capped at the bound, so a
+    sweep n = 0..N runs about log2 N passes and none past the bound.
     """
     bound = oracle_bound()
     if n > bound:
@@ -85,25 +92,38 @@ def oracle_count(n: int, part_set: PartSet, mode: CountMode) -> int:
         )
     if n < 0:
         return 0
+    top = min(1 << (n - 1).bit_length() if n else 1, bound)
+    return _oracle_pass(part_set, mode, top)[n]
+
+
+@lru_cache(maxsize=8)
+def _oracle_pass(part_set: PartSet, mode: CountMode, top: int) -> tuple[int, ...]:
+    """ways[v] for v = 0..top, the counts of one dynamic-programming pass.
+
+    The reach does not change the counts it covers: a part m > v and a term
+    with t·m > top never touch ways[v], so ways[v] is the same in a pass to v
+    and in a pass to any top >= v.  An ascending sweep needs only its latest
+    pass; eight entries leave room to interleave a few keys.
+    """
     g = mode.gamma
     cap = mode.max_multiplicity
-    ways = [0] * (n + 1)
+    ways = [0] * (top + 1)
     ways[0] = 1
-    for m in part_set.members_upto(n):
+    for m in part_set.members_upto(top):
         if cap is None:
-            for v in range(m, n + 1):
+            for v in range(m, top + 1):
                 ways[v] += g * ways[v - m]
         else:
             new = ways[:]
             weight = 1
             for t in range(1, cap + 1):
                 weight *= g
-                if t * m > n:
+                if t * m > top:
                     break
-                for v in range(t * m, n + 1):
+                for v in range(t * m, top + 1):
                     new[v] += weight * ways[v - t * m]
             ways = new
-    return ways[n]
+    return tuple(ways)
 
 
 def oracle_table(part_set: PartSet, mode: CountMode, order: int) -> QSeries:

@@ -102,6 +102,17 @@ class TestPartitions:
         assert code == 0
         assert out.splitlines()[-1] == "200,3972999029388"
 
+    def test_negative_oracle_bound_rejected(self, capsys, monkeypatch):
+        # it once dropped the oracle column of --check and exited 0
+        monkeypatch.setenv("QPL_ORACLE_BOUND", "-5")
+        code, out, err = run(
+            capsys, "partitions", "--set", "Jbar:3,1", "--n", "5", "--check",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "qpl: error: QPL_ORACLE_BOUND must be a non-negative integer, got '-5'\n"
+        )
+
     def test_hypothesis_violation_named(self, capsys):
         code, _, err = run(
             capsys, "partitions", "--set", "Jbar:4,2", "--n", "10",

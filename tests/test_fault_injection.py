@@ -24,9 +24,12 @@ from qpl.partitions import (
     CountMode,
     at_most,
     bounded_mult_shift_identity,
+    oracle_table,
     partition_shift_identities,
+    recursive_count_jbar,
 )
 from qpl.partsets import PartSet
+from qpl.reports import compare_series
 from qpl.series import QSeries, ZLaurentSeries
 
 ORDER = 40
@@ -34,12 +37,14 @@ E = 17
 
 
 @pytest.fixture(autouse=True)
-def fresh_gf_count_memo():
-    """A patched kernel can neither be hidden by a table cached before the
-    test nor leave a corrupted table cached after it."""
+def fresh_memos():
+    """A patched kernel can neither be hidden by a table or oracle pass cached
+    before the test nor leave a corrupted one cached after it."""
     qpl.partitions.gf_count.cache_clear()
+    qpl.partitions._oracle_pass.cache_clear()
     yield
     qpl.partitions.gf_count.cache_clear()
+    qpl.partitions._oracle_pass.cache_clear()
 
 
 def corrupt(monkeypatch, module, name, e, *key):
@@ -201,6 +206,26 @@ def test_apostol(monkeypatch):
     )
     rep = apostol_convolution_check(ModularParams(4, 1), ORDER)
     assert_fails_at(rep, E, E * (truth[0] + 1), E * truth[0])
+
+
+# The same key runs honest, with a part dropped, and honest again: the patched
+# run must compute its own oracle passes, and the run after it must not reuse them.
+@pytest.mark.parametrize("patched", [False, True, False], ids=["before", "patched", "after"])
+def test_oracle_sees_a_patched_members_upto(monkeypatch, patched):
+    jbar = PartSet.with_multiples(3, 1)
+    if patched:
+        members_upto = PartSet.members_upto
+        monkeypatch.setattr(
+            PartSet, "members_upto", lambda ps, n: [m for m in members_upto(ps, n) if m != E]
+        )
+    oracle = oracle_table(jbar, UNRESTRICTED, ORDER)
+    recursion = recursive_count_jbar(ModularParams(3, 1), ORDER)
+    rep = compare_series("partitions_check", {"k": 3, "ell": 1}, ORDER, oracle, recursion)
+    if patched:
+        # only the one-part partition (E) used the dropped part at n = E
+        assert_fails_at(rep, E, recursion[E] - 1, recursion[E])
+    else:
+        assert rep.passed
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])

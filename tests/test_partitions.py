@@ -5,13 +5,16 @@ partitions on small n, so the three production routes rest on two independent
 layers.
 """
 
+import functools
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpl.divisors import recursive_divisor_sums
 from qpl.errors import NotInvertibleError, OracleBoundError, OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams
+from qpl.identities import interior_grid
 from qpl.partitions import (
     CountMode,
     DISTINCT,
@@ -19,10 +22,12 @@ from qpl.partitions import (
     SIGNED_UNRESTRICTED,
     UNRESTRICTED,
     _figurate_quotient,
+    _oracle_pass,
     at_most,
     bounded_mult_shift_identity,
     generate_partitions,
     gf_count,
+    oracle_bound,
     oracle_count,
     oracle_table,
     partition_shift_identities,
@@ -76,6 +81,59 @@ def enumerated_count(n, part_set, mode):
     )
 
 
+@functools.cache
+def per_n_count(n, part_set, mode):
+    """The oracle as it was before passes were reused: a fresh DP to n for every n."""
+    g = mode.gamma
+    cap = mode.max_multiplicity
+    ways = [0] * (n + 1)
+    ways[0] = 1
+    for m in part_set.members_upto(n):
+        if cap is None:
+            for v in range(m, n + 1):
+                ways[v] += g * ways[v - m]
+        else:
+            new = ways[:]
+            weight = 1
+            for t in range(1, cap + 1):
+                weight *= g
+                if t * m > n:
+                    break
+                for v in range(t * m, n + 1):
+                    new[v] += weight * ways[v - t * m]
+            ways = new
+    return ways[n]
+
+
+ORACLE_MODES = st.builds(CountMode, st.sampled_from([None, 1, 2, 3]), st.booleans())
+# QPL_ORACLE_BOUND values at or above the largest n drawn; None leaves it unset
+ORACLE_BOUNDS = st.sampled_from([None, 80, 81, 100, 128, 200, 300])
+
+
+@st.composite
+def oracle_call_plans(draw):
+    """oracle_count calls (part_set, mode, n) for n <= 80 in ascending,
+    descending, shuffled or two-key interleaved order, each paired with the
+    QPL_ORACLE_BOUND to set before it."""
+    first = (draw(st.sampled_from(SMALL_SETS)), draw(ORACLE_MODES))
+    # the second key often shares the first's part set, so that a memo keyed
+    # without the mode would hand one mode's pass to the other
+    second = (
+        draw(st.one_of(st.just(first[0]), st.sampled_from(SMALL_SETS))),
+        draw(ORACLE_MODES),
+    )
+    ns = range(draw(st.integers(0, 80)) + 1)
+    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "interleaved"]))
+    if order == "interleaved":
+        calls = [(*key, n) for n in ns for key in (first, second)]
+    elif order == "shuffled":
+        calls = [(*first, n) for n in draw(st.permutations(list(ns)))]
+    else:
+        calls = [(*first, n) for n in (ns if order == "ascending" else reversed(ns))]
+    bounds = draw(st.lists(ORACLE_BOUNDS, min_size=1, max_size=4))
+    return [(call, bounds[i % len(bounds)]) for i, call in enumerate(calls)]
+
+
 class TestOracle:
     def test_classic_examples(self):
         assert oracle_count(5, JBAR31, UNRESTRICTED) == 7
@@ -97,6 +155,48 @@ class TestOracle:
         monkeypatch.setenv("QPL_ORACLE_BOUND", "10")
         with pytest.raises(OracleBoundError):
             oracle_count(11, JBAR31, UNRESTRICTED)
+
+    def test_negative_bound_rejected(self, monkeypatch):
+        monkeypatch.setenv("QPL_ORACLE_BOUND", "-5")
+        with pytest.raises(
+            OracleBoundError,
+            match=r"^QPL_ORACLE_BOUND must be a non-negative integer, got '-5'$",
+        ):
+            oracle_bound()
+        monkeypatch.setenv("QPL_ORACLE_BOUND", "0")
+        assert oracle_count(0, JBAR31, UNRESTRICTED) == 1
+        with pytest.raises(OracleBoundError):
+            oracle_count(1, JBAR31, UNRESTRICTED)
+
+    def test_sweep_runs_one_pass_per_power_of_two(self, monkeypatch):
+        # one pass per top 1, 2, 4, ..., 256 and one capped at the bound
+        monkeypatch.setenv("QPL_ORACLE_BOUND", "300")
+        reaches = []
+        members_upto = PartSet.members_upto
+
+        def recording(part_set, n):
+            reaches.append(n)
+            return members_upto(part_set, n)
+
+        monkeypatch.setattr(PartSet, "members_upto", recording)
+        _oracle_pass.cache_clear()
+        table = oracle_table(JBAR31, at_most(3), 300)
+        info = _oracle_pass.cache_info()
+        assert (info.misses, info.hits) == (10, 291)
+        assert reaches == [1, 2, 4, 8, 16, 32, 64, 128, 256, 300]
+        assert table == gf_count(JBAR31, at_most(3), 300)
+
+    @settings(deadline=None)
+    @given(oracle_call_plans())
+    def test_reused_passes_match_a_pass_per_n(self, plan):
+        _oracle_pass.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            for (part_set, mode, n), bound in plan:
+                if bound is None:
+                    mp.delenv("QPL_ORACLE_BOUND", raising=False)
+                else:
+                    mp.setenv("QPL_ORACLE_BOUND", str(bound))
+                assert oracle_count(n, part_set, mode) == per_n_count(n, part_set, mode)
 
     @pytest.mark.parametrize("part_set", SMALL_SETS, ids=lambda s: s.label())
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
@@ -256,6 +356,16 @@ class TestFamilyRecursions:
         with pytest.raises(ParameterError):
             recursive_count_bounded_jbar(ModularParams(4, 1), 0, 10)
 
+    @pytest.mark.parametrize("recursion", RECURSIONS)
+    def test_negative_order_named(self, recursion):
+        with pytest.raises(ParameterError, match="^order must be non-negative$"):
+            recursion(ModularParams(5, 2), -2)
+
+    @pytest.mark.parametrize("mode", [UNRESTRICTED, at_most(2)], ids=["Jbar", "Jbar-atmost2"])
+    def test_recursion_table_negative_order_named(self, mode):
+        with pytest.raises(ParameterError, match="^order must be non-negative$"):
+            recursion_table(PartSet.with_multiples(5, 2), mode, -2)
+
 
 class TestThreeWayAgreement:
     @pytest.mark.parametrize("k,ell", [(3, 1), (4, 1), (5, 2), (6, 1), (7, 3), (8, 3)])
@@ -267,6 +377,32 @@ class TestThreeWayAgreement:
         assert rec == gf
         for n in range(0, 61, 6):
             assert rec[n] == oracle_count(n, jbar, UNRESTRICTED)
+
+    @pytest.mark.parametrize(
+        "kind,mode",
+        [
+            ("Jbar", UNRESTRICTED),
+            ("Jbar", at_most(1)),
+            ("Jbar", at_most(2)),
+            ("Jbar", at_most(3)),
+            ("J", UNRESTRICTED),
+            ("J", SIGNED_UNRESTRICTED),
+            ("J", DISTINCT),
+            ("J", SIGNED_DISTINCT),
+        ],
+        ids=[
+            "Jbar", "Jbar-atmost1", "Jbar-atmost2", "Jbar-atmost3",
+            "J", "J-signed", "J-distinct", "J-distinct-signed",
+        ],
+    )
+    def test_all_routes_agree_to_300_on_the_grid(self, monkeypatch, kind, mode):
+        monkeypatch.setenv("QPL_ORACLE_BOUND", "300")
+        family = PartSet.with_multiples if kind == "Jbar" else PartSet.plus_minus
+        for params in interior_grid(3, 8):
+            part_set = family(params.k, params.ell)
+            oracle = oracle_table(part_set, mode, 300)
+            assert oracle == gf_count(part_set, mode, 300)
+            assert oracle == recursion_table(part_set, mode, 300)
 
 
 class TestShiftIdentities:
