@@ -41,10 +41,20 @@ def divisor_sum(part_set: PartSet, n: int) -> int:
 
 
 def divisor_table(part_set: PartSet, order: int) -> QSeries:
-    """Generating function of the restricted divisor sums (constant term 0)."""
+    """Generating function of the restricted divisor sums (constant term 0).
+
+    A sieve: each member d <= order is added to f[d], f[2d], ...  Membership
+    comes from ``contains``, the rule itself, so the divisor-sum checks still
+    test ``members_upto``, which the generating functions expand over.
+    """
     if order < 0:
         raise ParameterError("order must be non-negative")
-    return QSeries((0,) + tuple(divisor_sum(part_set, n) for n in range(1, order + 1)))
+    f = [0] * (order + 1)
+    for d in range(1, order + 1):
+        if part_set.contains(d):
+            for n in range(d, order + 1, d):
+                f[n] += d
+    return QSeries(tuple(f))
 
 
 def recursive_divisor_sums(params: ModularParams, order: int) -> QSeries:

@@ -169,7 +169,6 @@ def generate_partitions(
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
 def gf_count(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
     """Expand the product generating function over members <= order.
 
@@ -177,14 +176,22 @@ def gf_count(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
     and (1 - γ^{d+1} q^{(d+1)m})/(1 - γq^m) with a cap of d, where γ is the
     per-occurrence weight.
 
-    Memoized in 16 entries: every repeat in the battery falls within one
-    (k, ell) block of at most 9 keys, and more entries would only hold memory.
-    A QSeries is frozen, so callers may share the cached one.
+    The product depends only on the members it runs over, so the memo is
+    keyed by them, not by the set's name: J and Jbar for (k, ell) and
+    (k, k - ell) share one entry.  A set and its reflection meet within one
+    k block of the battery; an LRU replay of its calls needs 26 entries to
+    catch every repeat, and 32 leave a margin.  A QSeries is frozen, so
+    callers may share the cached one.
     """
+    return _gf_product(tuple(part_set.members_upto(order)), mode, order)
+
+
+@lru_cache(maxsize=32)
+def _gf_product(members: tuple[int, ...], mode: CountMode, order: int) -> QSeries:
     g = mode.gamma
     cap = mode.max_multiplicity
     acc = QSeries.one(order)
-    for m in part_set.members_upto(order):
+    for m in members:
         if cap is None:
             acc = acc.div_binomial(-g, m)
         elif cap == 1:

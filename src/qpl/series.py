@@ -9,6 +9,7 @@ Coefficients are Python integers throughout, so results are exact at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
 
@@ -335,7 +336,13 @@ def triple_pochhammer(k: int, ell: int, sign: int, order: int) -> QSeries:
     Only factors whose exponent is at most ``order`` are multiplied: a skipped
     factor is 1 + O(q^{order+1}) and cannot change retained coefficients.
     Exponent-zero factors (ell = 0 or ell = k at m = 1) are the constants
-    (1 + sign); for sign = -1 the whole product collapses to the zero series.
+    (1 + sign); for sign = -1 the whole product is the zero series, returned
+    without expanding the other factors.
+
+    Replacing ell by k - ell swaps the last two factors of each m, so the
+    memo is keyed by min(ell, k - ell).  10 entries hold every repeat of the
+    battery, whose reflected pairs lie within one k block of at most 10 keys.
+    A QSeries is frozen, so callers may share the cached one.
     """
     if k < 1:
         raise ParameterError("k must be a positive integer")
@@ -343,6 +350,13 @@ def triple_pochhammer(k: int, ell: int, sign: int, order: int) -> QSeries:
         raise ParameterError("sign must be +1 or -1")
     if not 0 <= ell <= k:
         raise ParameterError(f"ell must satisfy 0 <= ell <= k, got ell={ell}, k={k}")
+    return _pochhammer_product(k, min(ell, k - ell), sign, order)
+
+
+@lru_cache(maxsize=10)
+def _pochhammer_product(k: int, ell: int, sign: int, order: int) -> QSeries:
+    if sign == -1 and ell == 0:
+        return QSeries.zero(order)
     out = QSeries.one(order)
     m = 1
     while True:

@@ -46,6 +46,22 @@ class TestDivisorSum:
                 v = divisor_sum(s, n)
                 assert 0 <= v <= sigma(n)
 
+    @pytest.mark.parametrize(
+        "part_set",
+        [
+            PartSet.residues(4, 3),
+            PartSet.plus_minus(7, 2),
+            PartSet.with_multiples(5, 2),
+            PartSet.finite_prefix(6, 1, 9),
+            PartSet.multiples(3),
+            PartSet.explicit([1, 6, 10, 49, 250, 301]),
+        ],
+        ids=lambda s: s.label(),
+    )
+    def test_table_sieve_matches_pair_scans(self, part_set):
+        table = divisor_table(part_set, 300)
+        assert table.coeffs == tuple(divisor_sum(part_set, n) for n in range(301))
+
 
 class TestRecursion:
     def test_sigma_row(self):

@@ -8,6 +8,7 @@ import pytest
 import qpl.divisors
 import qpl.identities
 import qpl.partitions
+import qpl.series
 from qpl.divisors import apostol_convolution_check, divisor_table, kim_identity_check
 from qpl.figurate import ModularParams, signed_figurate_series
 from qpl.identities import (
@@ -24,6 +25,7 @@ from qpl.partitions import (
     CountMode,
     at_most,
     bounded_mult_shift_identity,
+    gf_count,
     oracle_table,
     partition_shift_identities,
     recursive_count_jbar,
@@ -36,15 +38,22 @@ ORDER = 40
 E = 17
 
 
+MEMOS = (
+    qpl.partitions._gf_product,
+    qpl.partitions._oracle_pass,
+    qpl.series._pochhammer_product,
+)
+
+
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """A patched kernel can neither be hidden by a table or oracle pass cached
-    before the test nor leave a corrupted one cached after it."""
-    qpl.partitions.gf_count.cache_clear()
-    qpl.partitions._oracle_pass.cache_clear()
+    """A patched kernel can neither be hidden by a table, product or oracle
+    pass cached before the test nor leave a corrupted one cached after it."""
+    for memo in MEMOS:
+        memo.cache_clear()
     yield
-    qpl.partitions.gf_count.cache_clear()
-    qpl.partitions._oracle_pass.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def corrupt(monkeypatch, module, name, e, *key):
@@ -226,6 +235,41 @@ def test_oracle_sees_a_patched_members_upto(monkeypatch, patched):
         assert_fails_at(rep, E, recursion[E] - 1, recursion[E])
     else:
         assert rep.passed
+
+
+def test_gf_count_memo_sees_a_patched_members_upto(monkeypatch):
+    jbar = PartSet.with_multiples(3, 1)
+    recursion = recursive_count_jbar(ModularParams(3, 1), ORDER)
+    honest = gf_count(jbar, UNRESTRICTED, ORDER)
+    assert honest == recursion
+    members_upto = PartSet.members_upto
+    monkeypatch.setattr(
+        PartSet, "members_upto", lambda ps, n: [m for m in members_upto(ps, n) if m != E]
+    )
+    misses = qpl.partitions._gf_product.cache_info().misses
+    patched = gf_count(jbar, UNRESTRICTED, ORDER)
+    # the warm entry is keyed by the members it ran over, so it cannot answer
+    assert qpl.partitions._gf_product.cache_info().misses == misses + 1
+    rep = compare_series("partitions_check", {"k": 3, "ell": 1}, ORDER, patched, recursion)
+    # only the one-part partition (E) used the dropped part at n = E
+    assert_fails_at(rep, E, recursion[E] - 1, recursion[E])
+    monkeypatch.undo()
+    assert gf_count(jbar, UNRESTRICTED, ORDER) is honest
+
+
+def test_divisor_checks_see_a_patched_members_upto(monkeypatch):
+    # the scans decide membership by the rule, the generating functions
+    # expand over members_upto, so a dropped part splits the two sides
+    params = ModularParams(3, 1)  # Jbar:3,1 is every positive integer
+    sigma = divisor_table(PartSet.with_multiples(3, 1), ORDER)[E]
+    members_upto = PartSet.members_upto
+    monkeypatch.setattr(
+        PartSet, "members_upto", lambda ps, n: [m for m in members_upto(ps, n) if m != E]
+    )
+    # F = -(q·g1')·f then sums the divisors other than E
+    assert_fails_at(kim_identity_check(params, ORDER), E, sigma, sigma - E)
+    # r(E) = 0 off the pentagonal numbers, and the one-part partition adds 1
+    assert_fails_at(apostol_convolution_check(params, ORDER), E, E, 0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])

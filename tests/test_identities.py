@@ -19,8 +19,8 @@ from qpl.identities import (
     verify_sylvester,
     verify_triple_product,
 )
-from qpl.partitions import gf_count
-from qpl.series import QSeries, ZLaurentSeries, triple_pochhammer
+from qpl.partitions import _gf_product
+from qpl.series import QSeries, ZLaurentSeries, _pochhammer_product, triple_pochhammer
 
 
 def reference_triple_product(q_order: int, factors: int) -> ZLaurentSeries:
@@ -253,13 +253,22 @@ class TestBattery:
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_gf_count_memo_catches_every_repeat(self):
-        # work counter, not a timing: every repeated key of the battery must
-        # stay within reach of the bounded memo
-        gf_count.cache_clear()
+        # work counter, not a timing: every repeated product of the battery
+        # (480 calls naming 126 distinct member tuples) must stay within
+        # reach of the bounded memo
+        _gf_product.cache_clear()
         battery(3, 8, 60)
-        info = gf_count.cache_info()
-        gf_count.cache_clear()
-        assert (info.misses, info.hits) == (222, 258)
+        info = _gf_product.cache_info()
+        _gf_product.cache_clear()
+        assert (info.misses, info.hits) == (126, 354)
+
+    def test_triple_pochhammer_memo_catches_every_repeat(self):
+        # 90 calls name 42 distinct (k, min(ell, k - ell), sign) products
+        _pochhammer_product.cache_clear()
+        battery(3, 8, 60)
+        info = _pochhammer_product.cache_info()
+        _pochhammer_product.cache_clear()
+        assert (info.misses, info.hits) == (42, 48)
 
     def test_interior_grid(self):
         grid = interior_grid(3, 8)

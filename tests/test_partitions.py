@@ -22,6 +22,7 @@ from qpl.partitions import (
     SIGNED_UNRESTRICTED,
     UNRESTRICTED,
     _figurate_quotient,
+    _gf_product,
     _oracle_pass,
     at_most,
     bounded_mult_shift_identity,
@@ -252,6 +253,56 @@ class TestGeneratingFunctions:
         t = gf_count(JBAR31, UNRESTRICTED, 5)
         assert t.coeffs[5] == 7
         assert oracle_table(JBAR31, UNRESTRICTED, 5) == t
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from(interior_grid(3, 9)),
+        st.sampled_from(["J", "Jbar", "Js"]),
+        st.integers(1, 6),
+        ORACLE_MODES,
+        st.integers(0, 120),
+    )
+    def test_reflected_sets_share_a_sound_key(self, params, kind, s, mode, order):
+        make = {
+            "J": PartSet.plus_minus,
+            "Jbar": PartSet.with_multiples,
+            "Js": lambda k, ell: PartSet.finite_prefix(k, ell, s),
+        }[kind]
+        pair = (make(params.k, params.ell), make(params.k, params.k - params.ell))
+        # one set by the membership rule, so one product ...
+        assert [n for n in range(1, order + 1) if pair[0].contains(n)] == [
+            n for n in range(1, order + 1) if pair[1].contains(n)
+        ]
+        # ... and two separate expansions agree
+        tables = []
+        for part_set in pair:
+            _gf_product.cache_clear()
+            tables.append(gf_count(part_set, mode, order))
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (PartSet.residues(5, 1), PartSet.residues(5, 4)),
+            (J41, JBAR41),
+            (PartSet.explicit([1, 2]), PartSet.explicit([1, 3])),
+        ],
+        ids=lambda s: s.label(),
+    )
+    def test_different_members_never_share_an_entry(self, a, b):
+        _gf_product.cache_clear()
+        ta, tb = gf_count(a, UNRESTRICTED, 30), gf_count(b, UNRESTRICTED, 30)
+        assert _gf_product.cache_info().misses == 2
+        assert ta != tb
+
+    def test_sets_equal_up_to_the_order_share_an_entry(self):
+        # Js:5,1,2 is {1, 4, 6, 9}, which is all of J:5,1 up to 10
+        _gf_product.cache_clear()
+        prefix = gf_count(PartSet.finite_prefix(5, 1, 2), DISTINCT, 10)
+        assert gf_count(PartSet.plus_minus(5, 1), DISTINCT, 10) is prefix
+        # 11 is a member of J:5,1 only, and alone it partitions 11
+        j11 = gf_count(PartSet.plus_minus(5, 1), DISTINCT, 11)
+        assert j11[11] == gf_count(PartSet.finite_prefix(5, 1, 2), DISTINCT, 11)[11] + 1
 
 
 class TestJbarRecursion:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpl.errors import NotInvertibleError, OrderMismatchError, ParameterError
-from qpl.series import QSeries, ZLaurentSeries, triple_pochhammer
+from qpl.series import QSeries, ZLaurentSeries, _pochhammer_product, triple_pochhammer
 
 
 @cache
@@ -128,6 +128,30 @@ class TestTriplePochhammer:
                 assert triple_pochhammer(k, ell, sign, 80) == triple_pochhammer(
                     k, k - ell, sign, 80
                 )
+
+    def test_zero_product_expands_no_factor(self, monkeypatch):
+        exps = []
+        real = QSeries.mul_binomial
+
+        def counted(series, coeff, exp):
+            exps.append(exp)
+            return real(series, coeff, exp)
+
+        monkeypatch.setattr(QSeries, "mul_binomial", counted)
+        _pochhammer_product.cache_clear()
+        assert triple_pochhammer(2, 0, -1, 90).is_zero()
+        assert triple_pochhammer(5, 5, -1, 90).is_zero()
+        assert exps == []
+        triple_pochhammer(2, 0, 1, 90)
+        assert exps  # the counter does see a non-zero product's factors
+
+    def test_reflected_memo_key_is_sound(self):
+        # the uncached expansion, run at ell and at k - ell, not the shared entry
+        expand = _pochhammer_product.__wrapped__
+        for k in range(1, 9):
+            for ell in range(k + 1):
+                for sign in (1, -1):
+                    assert expand(k, ell, sign, 60) == expand(k, k - ell, sign, 60)
 
     def test_ell_out_of_range(self):
         with pytest.raises(ParameterError):
