@@ -314,8 +314,9 @@ def _cmd_theta(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_io_flags(sub, default_format: str) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default=default_format)
+def _add_io_flags(sub, formats: tuple[str, ...]) -> None:
+    """--format (the first of `formats` is the default) and --output."""
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
 
 
@@ -330,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--k", type=int, required=True)
     fig.add_argument("--ell", type=int, required=True)
     fig.add_argument("--bound", type=int, required=True)
-    _add_io_flags(fig, "csv")
+    _add_io_flags(fig, ("csv", "json"))
     fig.set_defaults(func=_cmd_figurate)
 
     parts = subs.add_parser("partitions", help="partition count tables")
@@ -347,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parts.add_argument(
         "--check", action="store_true", help="run all applicable methods and compare"
     )
-    _add_io_flags(parts, "csv")
+    _add_io_flags(parts, ("csv", "json"))
     parts.set_defaults(func=_cmd_partitions)
 
     div = subs.add_parser("divisors", help="restricted divisor-sum tables")
@@ -356,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     div.add_argument("--n", type=int, required=True)
     div.add_argument("--method", choices=("scan", "recursion", "kim"), default="scan")
     div.add_argument("--check", action="store_true")
-    _add_io_flags(div, "csv")
+    _add_io_flags(div, ("csv", "json"))
     div.set_defaults(func=_cmd_divisors)
 
     ver = subs.add_parser("verify", help="verify identities, single or grid")
@@ -372,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--s", type=int, default=3)
     ver.add_argument("--d", type=int, default=1)
     ver.add_argument("--jobs", type=int, default=1)
-    _add_io_flags(ver, "json")
+    _add_io_flags(ver, ("json",))
     ver.set_defaults(func=_cmd_verify)
 
     the = subs.add_parser("theta", help="evaluate theta variants numerically")
@@ -382,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     the.add_argument("--q", required=True, help="RE,IM")
     the.add_argument("--z", required=True, help="RE,IM")
     the.add_argument("--tol", type=float, default=1e-12)
-    _add_io_flags(the, "json")
+    _add_io_flags(the, ("json",))
     the.set_defaults(func=_cmd_theta)
 
     return parser

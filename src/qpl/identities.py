@@ -8,7 +8,6 @@ at the verified order or carries the first mismatching coefficient.
 from __future__ import annotations
 
 from functools import partial
-from operator import add
 from typing import Callable
 
 from . import reports
@@ -49,22 +48,29 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
       B(B-1)/2 > q_order: a term that leaves the widened window can only come
       back to the reported window by z-moves with distinct q-costs whose sum
       exceeds q_order, so clamping never changes a reported coefficient;
+    * a term of z^j uses at least |j| z-moves with distinct q-costs, so row j
+      is zero below q^{j(j-1)/2} (q^{|j|(|j|+1)/2} for negative j) in every
+      partial product, clamped or not; row updates skip that prefix, and for
+      |j| >= B both that exponent and the expected q^{(j^2-j)/2} pass the
+      order, so both sides of every such row are zero. Only |j| <= min(z_window,
+      B) is expanded and compared, however large the requested window;
     * the z-rows are expanded without the (1-q^m) factors, which are applied
       afterwards as one product prod_m (1-q^m) (built factor by factor, not
       from the pentagonal series the identity is about): multiplying every
       row by the same q-series commutes with the z-shifts, with the window
       clamp and with truncation at q_order, so the order of the factors
       cannot change a coefficient;
-    * a term of z^j uses at least |j| z-moves with distinct q-costs, so row j
-      is zero below q^{j(j-1)/2} in every partial product, clamped or not;
-      row updates skip that prefix.
+    * the rows are packed into fixed-width integer slots whose width exceeds
+      every coefficient of every partial product (argued at
+      _triple_product_rows), so no slot carries into its neighbour.
     """
     if q_order < 0 or z_window < 0:
         raise ParameterError("q_order and z_window must be non-negative")
-    n_ord, j_win = q_order, z_window
+    n_ord = q_order
+    j_win = min(z_window, _z_margin(n_ord))
     product = _triple_product_rows(n_ord, j_win)
 
-    parameters = {"z_window": j_win}
+    parameters = {"z_window": z_window}
     for j in range(-j_win, j_win + 1):
         e = (j * j - j) // 2
         expected = (
@@ -79,44 +85,84 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
     return reports.passed("triple_product", parameters, n_ord)
 
 
+def _z_margin(q_order: int) -> int:
+    """The least B >= 2 with B(B-1)/2 > q_order."""
+    b = 2
+    while b * (b - 1) // 2 <= q_order:
+        b += 1
+    return b
+
+
 def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
     """Every row of the windowed triple-product expansion, clamped rows
     included; the window and the factor order are argued in
-    verify_triple_product."""
+    verify_triple_product.
+
+    Each z-row is one Python int: the coefficient of q^e sits in bits
+    [e·W, (e+1)·W) for a slot width W, so multiplying by (1 + q^s z^{±1})
+    adds a masked, shifted copy of the neighbouring row in a few big-int
+    operations. The mask drops the slots that the shift would move past
+    q_order. The shifted copy has non-negative slots, so the add is exact
+    as long as no slot overflows. It cannot: every factor
+    (1 + q^m z^{-1})(1 + q^{m-1} z) has non-negative coefficients and the
+    clamp only drops terms, so each coefficient of each row of each partial
+    product is at most the matching coefficient of the whole product at
+    z = 1, which is 2·prod_{m<=q_order} (1+q^m)^2 (the factor 1 + q^0·z gives
+    the 2). W is the least whole number of bytes above that bound's bit
+    length (72 bits at order 400), and each row unpacks in O(q_order)
+    through to_bytes. Zero rows skip the final prod (1-q^m) multiply.
+    """
     n = q_order
-    b = 2
-    while b * (b - 1) // 2 <= n:
-        b += 1
-    w = z_window + b
+    w = z_window + _z_margin(n)
     size = 2 * w + 1
     zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
-    rows: list[list[int]] = [[0] * (n + 1) for _ in range(size)]
-    rows[w][0] = 1
+
+    bound = QSeries.one(n)
+    for m in range(1, n + 1):
+        bound = bound.mul_binomial(1, m).mul_binomial(1, m)
+    slot_bytes = (2 * max(bound.coeffs)).bit_length() // 8 + 1
+    width = 8 * slot_bytes
+
+    rows = [0] * size
+    rows[w] = 1
     lo = hi = w  # active row range
     for m in range(1, n + 2):
         # (1 + q^{m-1} z), descending so each source row is still the pre-multiply value
+        s = m - 1
+        keep = (1 << width * (n + 1 - s)) - 1
+        shift = width * s
         if hi < size - 1:
             hi += 1
         for idx in range(hi, lo, -1):
-            p = zero_below[idx - 1]
-            e = m - 1 + p
-            if e <= n:
-                row = rows[idx]
-                row[e:] = map(add, row[e:], rows[idx - 1][p:])
+            if s + zero_below[idx - 1] <= n:
+                rows[idx] += (rows[idx - 1] & keep) << shift
         if m <= n:
             # (1 + q^m z^{-1}), ascending for the same reason
+            keep = (1 << width * (n + 1 - m)) - 1
+            shift = width * m
             if lo > 0:
                 lo -= 1
             for idx in range(lo, hi):
-                p = zero_below[idx + 1]
-                e = m + p
-                if e <= n:
-                    row = rows[idx]
-                    row[e:] = map(add, row[e:], rows[idx + 1][p:])
+                if m + zero_below[idx + 1] <= n:
+                    rows[idx] += (rows[idx + 1] & keep) << shift
+
     euler = QSeries.one(n)
     for m in range(1, n + 1):
         euler = euler.mul_binomial(-1, m)
-    return ZLaurentSeries(-w, tuple(euler * QSeries(tuple(r)) for r in rows))
+    zero = QSeries.zero(n)
+    length = slot_bytes * (n + 1)
+    out = []
+    for row in rows:
+        if not row:
+            out.append(zero)
+            continue
+        data = row.to_bytes(length, "little")
+        coeffs = tuple(
+            int.from_bytes(data[i : i + slot_bytes], "little")
+            for i in range(0, length, slot_bytes)
+        )
+        out.append(euler * QSeries(coeffs))
+    return ZLaurentSeries(-w, tuple(out))
 
 
 # --------------------------------------------------------------------------

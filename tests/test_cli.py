@@ -335,6 +335,44 @@ class TestVerify:
         assert err == f"qpl: error: jobs must be >= 1, got {jobs}\n"
 
 
+    def test_huge_zwindow_is_cheap(self, qpl_env):
+        # a child process under an address-space cap and a timeout, so that a
+        # window allocating rows it never needs fails here, not the machine
+        code = (
+            "import resource, sys\n"
+            "cap = 512 * 1024 * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from qpl.cli import main\n"
+            "sys.exit(main(['verify', '--identity', 'triple_product', '--order', '60',"
+            " '--zwindow', '100000000']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+            env=qpl_env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        (report,) = json.loads(proc.stdout)
+        assert report["outcome"] == "pass"
+        assert report["parameters"] == {"z_window": 100000000}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--identity", "berger", "--k", "5", "--order", "20"),
+            ("theta", "--q", "0.3,0", "--z", "1,0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_format_csv_rejected(self, capsys, argv):
+        # verify and theta print JSON only; csv once printed JSON and exited 0
+        assert run(capsys, *argv, "--format", "json")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "invalid choice: 'csv'" in captured.err
+
+
 class TestTheta:
     def test_value_and_residual(self, capsys):
         code, out, _ = run(

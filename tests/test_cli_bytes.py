@@ -9,11 +9,17 @@ the two cross-checks shared one emitter, so its digest is of the first JSON
 it printed, whose rows tests/test_cli.py checks against the CSV rows.  The
 `partitions --format json` rows, which print each route's provenance, were
 taken from the code before the routes returned plain series.
+
+The order-400 battery is the benchmark's headline run; its digest is read
+from perfbench/golden.json rather than copied here, so tier-1 and the
+benchmark check the same bytes.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +161,13 @@ def run_digest(argv) -> tuple[int, str]:
 def test_stdout_bytes_unchanged(argv, monkeypatch):
     monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
     assert run_digest(argv) == DIGESTS[" ".join(argv)]
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+BATTERY_400 = ("verify", "--all", "--grid", "k=3..8", "--order", "400")
+
+
+def test_battery_400_bytes_match_benchmark_golden(monkeypatch):
+    monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+    assert run_digest(BATTERY_400) == (0, digests["qpl " + " ".join(BATTERY_400)])

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from operator import add
 
 import pytest
 
@@ -69,6 +70,43 @@ def interleaved_triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeri
     return ZLaurentSeries(-w, tuple(QSeries(tuple(r)) for r in rows))
 
 
+def list_triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
+    """The row expansion with each z-row a list of coefficients, updated by a
+    map over the row: the reference for the packed-integer rows."""
+    n = q_order
+    b = 2
+    while b * (b - 1) // 2 <= n:
+        b += 1
+    w = z_window + b
+    size = 2 * w + 1
+    zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
+    rows = [[0] * (n + 1) for _ in range(size)]
+    rows[w][0] = 1
+    lo = hi = w
+    for m in range(1, n + 2):
+        if hi < size - 1:
+            hi += 1
+        for idx in range(hi, lo, -1):
+            p = zero_below[idx - 1]
+            e = m - 1 + p
+            if e <= n:
+                row = rows[idx]
+                row[e:] = map(add, row[e:], rows[idx - 1][p:])
+        if m <= n:
+            if lo > 0:
+                lo -= 1
+            for idx in range(lo, hi):
+                p = zero_below[idx + 1]
+                e = m + p
+                if e <= n:
+                    row = rows[idx]
+                    row[e:] = map(add, row[e:], rows[idx + 1][p:])
+    euler = QSeries.one(n)
+    for m in range(1, n + 1):
+        euler = euler.mul_binomial(-1, m)
+    return ZLaurentSeries(-w, tuple(euler * QSeries(tuple(r)) for r in rows))
+
+
 class TestTripleProduct:
     def test_passes_modest_window(self):
         report = verify_triple_product(50, 8)
@@ -99,6 +137,26 @@ class TestTripleProduct:
                 assert _triple_product_rows(
                     q_order, z_window
                 ) == interleaved_triple_product_rows(q_order, z_window)
+
+    @pytest.mark.parametrize(
+        "q_order,z_window",
+        [(n, z) for n in (31, 64, 100, 200) for z in (0, 3, 8, 12)] + [(400, 8)],
+    )
+    def test_packed_rows_equal_list_rows(self, q_order, z_window):
+        # past order 30, where the slots are wide and the coefficients large;
+        # (400, 8) is the battery's call, with 72-bit slots
+        assert _triple_product_rows(q_order, z_window) == list_triple_product_rows(
+            q_order, z_window
+        )
+
+    def test_window_past_margin_reports_requested_window(self):
+        # rows with |j| >= B are zero on both sides, so a window past the
+        # margin (B = 9 at order 30) checks nothing more and passes alike;
+        # tests/test_cli.py runs a huge window in a memory-capped child
+        for z_window in (8, 9, 10, 40):
+            report = verify_triple_product(30, z_window)
+            assert report.passed
+            assert report.parameters == {"z_window": z_window}
 
     def test_constant_and_first_coefficients(self):
         ref = reference_triple_product(10, 14)
