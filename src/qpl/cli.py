@@ -3,7 +3,8 @@
 Sequence tables are emitted as CSV, verification reports as JSON; both
 payloads are deterministic for a given invocation.  Exit status: 0 all
 computations/verifications succeeded, 1 a verification or cross-check failed,
-2 usage error (including violated parameter hypotheses).
+2 usage error (including violated parameter hypotheses and running out of
+memory).
 """
 
 from __future__ import annotations
@@ -389,6 +390,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flag that sets how much each subcommand computes, named when memory runs out
+_SIZE_FLAGS = {"figurate": "--bound", "partitions": "--n", "divisors": "--n", "verify": "--order"}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -400,6 +405,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ParameterError, OracleBoundError, ValueError) as exc:
         print(f"qpl: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        flag = _SIZE_FLAGS.get(args.command)
+        hint = f"; try a smaller {flag}" if flag else ""
+        print(f"qpl: error: out of memory{hint}", file=sys.stderr)
         return EXIT_USAGE
 
 

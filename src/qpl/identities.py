@@ -28,7 +28,7 @@ from .partitions import (
     partition_shift_identities,
 )
 from .reports import VerificationReport, compare_series, first_diff
-from .series import QSeries, ZLaurentSeries, triple_pochhammer
+from .series import QSeries, ZLaurentSeries, _unpack, binomial_product, triple_pochhammer
 
 
 # --------------------------------------------------------------------------
@@ -117,9 +117,7 @@ def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
     size = 2 * w + 1
     zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
 
-    bound = QSeries.one(n)
-    for m in range(1, n + 1):
-        bound = bound.mul_binomial(1, m).mul_binomial(1, m)
+    bound = binomial_product(n, [(1, m) for m in range(1, n + 1) for _ in range(2)])
     slot_bytes = (2 * max(bound.coeffs)).bit_length() // 8 + 1
     width = 8 * slot_bytes
 
@@ -146,22 +144,9 @@ def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
                 if m + zero_below[idx + 1] <= n:
                     rows[idx] += (rows[idx + 1] & keep) << shift
 
-    euler = QSeries.one(n)
-    for m in range(1, n + 1):
-        euler = euler.mul_binomial(-1, m)
+    euler = binomial_product(n, [(-1, m) for m in range(1, n + 1)])
     zero = QSeries.zero(n)
-    length = slot_bytes * (n + 1)
-    out = []
-    for row in rows:
-        if not row:
-            out.append(zero)
-            continue
-        data = row.to_bytes(length, "little")
-        coeffs = tuple(
-            int.from_bytes(data[i : i + slot_bytes], "little")
-            for i in range(0, length, slot_bytes)
-        )
-        out.append(euler * QSeries(coeffs))
+    out = [euler * QSeries(_unpack(row, slot_bytes, n)) if row else zero for row in rows]
     return ZLaurentSeries(-w, tuple(out))
 
 
@@ -313,19 +298,16 @@ def verify_boundary_half(k: int, q_order: int) -> VerificationReport:
     half = k // 2
     parameters = {"k": k}
 
-    numerator = QSeries.one(q_order)
-    denominator = QSeries.one(q_order)
-    extra = QSeries.one(q_order)
+    numerator, denominator, extra = [], [], []
     m = 1
     while k * m - half <= q_order:
-        if k * m <= q_order:
-            numerator = numerator.mul_binomial(-1, k * m)
-            denominator = denominator.mul_binomial(1, k * m)
-            extra = extra.mul_binomial(1, k * m)
-        numerator = numerator.mul_binomial(1, k * m - half)
-        denominator = denominator.mul_binomial(-1, k * m - half)
-        extra = extra.mul_binomial(1, k * m - half).mul_binomial(-1, k * m - half)
+        numerator += [(-1, k * m), (1, k * m - half)]
+        denominator += [(1, k * m), (-1, k * m - half)]
+        extra += [(1, k * m), (1, k * m - half), (-1, k * m - half)]
         m += 1
+    numerator = binomial_product(q_order, numerator)
+    denominator = binomial_product(q_order, denominator)
+    extra = binomial_product(q_order, extra)
     quotient = numerator * denominator.reciprocal()
 
     rhs = [0] * (q_order + 1)

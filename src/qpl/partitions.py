@@ -22,7 +22,7 @@ from .errors import NotInvertibleError, OracleBoundError, ParameterError
 from .figurate import ModularParams, require_interior, signed_figurate_series
 from .partsets import PartSet
 from .reports import VerificationReport, compare_series
-from .series import QSeries, triple_pochhammer
+from .series import QSeries, binomial_product, triple_pochhammer
 
 DEFAULT_ORACLE_BOUND = 120
 ORACLE_BOUND_ENV = "QPL_ORACLE_BOUND"
@@ -188,21 +188,29 @@ def gf_count(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
 
 @lru_cache(maxsize=32)
 def _gf_product(members: tuple[int, ...], mode: CountMode, order: int) -> QSeries:
+    """The product as one binomial_product term list.
+
+    A division 1/(1 - γq^m) becomes (1 + γq^m)(1 + q^{2m})(1 + q^{4m})... up
+    to the order, since 1/(1 - x) = prod_{t>=0} (1 + x^{2^t}) and γ^2 = 1.
+    The capped numerators (1 - γ^{d+1} q^{(d+1)m}) follow every division, so
+    for γ = +1 every factor before them is (1 + q^e) and the kernel's
+    negative part stays 0 until then.
+    """
     g = mode.gamma
     cap = mode.max_multiplicity
-    acc = QSeries.one(order)
+    if cap == 1:
+        return binomial_product(order, [(g, m) for m in members])
+    terms = []
     for m in members:
-        if cap is None:
-            acc = acc.div_binomial(-g, m)
-        elif cap == 1:
-            acc = acc.mul_binomial(g, m)
-        else:
-            top = cap + 1
-            g_top = g if top % 2 else 1  # γ^{d+1}
-            if top * m <= order:
-                acc = acc.mul_binomial(-g_top, top * m)
-            acc = acc.div_binomial(-g, m)
-    return acc
+        terms.append((g, m))
+        e = 2 * m
+        while e <= order:
+            terms.append((1, e))
+            e *= 2
+    if cap is not None:
+        g_top = g if (cap + 1) % 2 else 1  # γ^{d+1}
+        terms.extend((-g_top, (cap + 1) * m) for m in members)
+    return binomial_product(order, terms)
 
 
 def quotient_series(

@@ -8,6 +8,7 @@ Coefficients are Python integers throughout, so results are exact at any size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -15,7 +16,7 @@ from operator import add, mul, sub
 
 from .errors import NotInvertibleError, OrderMismatchError, ParameterError
 
-__all__ = ["QSeries", "ZLaurentSeries", "triple_pochhammer"]
+__all__ = ["QSeries", "ZLaurentSeries", "binomial_product", "triple_pochhammer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -333,11 +334,12 @@ class ZLaurentSeries:
 def triple_pochhammer(k: int, ell: int, sign: int, order: int) -> QSeries:
     """Expand prod_{m>=1} (1 - q^{km})(1 + sign·q^{km-ell})(1 + sign·q^{k(m-1)+ell}).
 
-    Only factors whose exponent is at most ``order`` are multiplied: a skipped
-    factor is 1 + O(q^{order+1}) and cannot change retained coefficients.
-    Exponent-zero factors (ell = 0 or ell = k at m = 1) are the constants
-    (1 + sign); for sign = -1 the whole product is the zero series, returned
-    without expanding the other factors.
+    The factors go to binomial_product as one term list, which skips those
+    whose exponent passes ``order``: such a factor is 1 + O(q^{order+1}) and
+    cannot change retained coefficients. Exponent-zero factors (ell = 0 or
+    ell = k at m = 1) are the constants (1 + sign), applied as a scale; for
+    sign = -1 the whole product is the zero series, returned without
+    expanding the other factors.
 
     Replacing ell by k - ell swaps the last two factors of each m, so the
     memo is keyed by min(ell, k - ell).  10 entries hold every repeat of the
@@ -357,7 +359,8 @@ def triple_pochhammer(k: int, ell: int, sign: int, order: int) -> QSeries:
 def _pochhammer_product(k: int, ell: int, sign: int, order: int) -> QSeries:
     if sign == -1 and ell == 0:
         return QSeries.zero(order)
-    out = QSeries.one(order)
+    const = 1
+    terms = []
     m = 1
     while True:
         exps = (k * m, k * m - ell, k * (m - 1) + ell)
@@ -365,8 +368,91 @@ def _pochhammer_product(k: int, ell: int, sign: int, order: int) -> QSeries:
             break
         for e, c in ((exps[0], -1), (exps[1], sign), (exps[2], sign)):
             if e == 0:
-                out = out.scale(1 + c)
-            elif e <= order:
-                out = out.mul_binomial(c, e)
+                const *= 1 + c
+            else:
+                terms.append((c, e))
         m += 1
-    return out
+    return binomial_product(order, terms).scale(const)
+
+
+def binomial_product(order: int, terms) -> QSeries:
+    """Expand prod (1 + c·q^e) over (c, e) in ``terms``, truncated at ``order``.
+
+    Every c must be +1 or -1 and every e at least 1; factors with e > order
+    are 1 + O(q^{order+1}) and are skipped.
+
+    The partial product is kept as two non-negative Python ints, ``pos`` and
+    ``neg``, whose difference is its value: the coefficient of q^i sits in
+    bits [i·W, (i+1)·W) of each, for a slot width W from _slot_bytes. A
+    factor (1 + q^e) adds to each of pos and neg a copy of itself, masked to
+    the slots that stay within the order and shifted up by e slots; a factor
+    (1 - q^e) adds to each the masked, shifted copy of the other. Nothing is
+    subtracted, so no slot borrows, and neg stays 0, on which every
+    operation is free, until the first factor with c = -1. Slot i of pos
+    plus slot i of neg is coefficient i of the same partial product with
+    every c set to +1, so neither slot can pass the bound _slot_bytes proves
+    for the whole unsigned product, and no slot carries into its neighbour.
+    The two ints unpack once, in O(order), through to_bytes.
+    """
+    if order < 0:
+        raise ParameterError("order must be non-negative")
+    factors = []
+    for c, e in terms:
+        if c not in (1, -1):
+            raise ParameterError(f"binomial factor coefficient must be +1 or -1, got {c}")
+        if e < 1:
+            raise ParameterError("binomial factor exponent must be >= 1")
+        if e <= order:
+            factors.append((c, e))
+    slot_bytes = _slot_bytes(order, [e for _, e in factors])
+    width = 8 * slot_bytes
+    pos, neg = 1, 0
+    for c, e in factors:
+        keep = (1 << width * (order + 1 - e)) - 1
+        shift = width * e
+        if c == 1:
+            pos += (pos & keep) << shift
+            neg += (neg & keep) << shift
+        else:
+            pos, neg = pos + ((neg & keep) << shift), neg + ((pos & keep) << shift)
+    coeffs = _unpack(pos, slot_bytes, order)
+    if neg:
+        coeffs = tuple(map(sub, coeffs, _unpack(neg, slot_bytes, order)))
+    return QSeries(coeffs)
+
+
+def _unpack(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
+    """The order + 1 slots of ``packed``, lowest first, each slot_bytes wide."""
+    length = slot_bytes * (order + 1)
+    data = packed.to_bytes(length, "little")
+    return tuple(
+        int.from_bytes(data[i : i + slot_bytes], "little")
+        for i in range(0, length, slot_bytes)
+    )
+
+
+# t·sqrt(order) at which _slot_bytes evaluates its bound; the best t·sqrt(order)
+# of every term list of the order-400 battery lies between 0 and 1.4
+_SADDLE_STEPS = (0.25, 0.5, 0.75, 1.0, 1.5)
+
+
+def _slot_bytes(order: int, exps) -> int:
+    """Whole bytes per slot that hold every coefficient of U = prod (1 + q^e)
+    over ``exps`` (each 1 <= e <= order), truncated at ``order``.
+
+    U has non-negative coefficients, so for every 0 < x < 1 and i <= order,
+    U_i·x^order <= U_i·x^i <= U(x): each U_i is at most U(x)/x^order (the
+    saddle-point bound of Apostol's proof that p(n) < e^{π·sqrt(2n/3)}). Any
+    x gives a valid bound, so log2 U(x) - order·log2 x is evaluated in floats
+    at a few x = e^{-t} and the smallest kept; 2 bits cover the rounding of
+    the float sum, and the width is rounded up to whole bytes.
+    """
+    if not exps:
+        return 1
+    root = order ** 0.5
+    best = min(
+        sum(math.log1p(math.exp(-t * e)) for e in exps) + order * t
+        for t in (s / root for s in _SADDLE_STEPS)
+    )
+    bits = int(best / math.log(2) + 2) + 1
+    return -(-bits // 8)

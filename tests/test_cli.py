@@ -458,6 +458,34 @@ class TestOutputFile:
         assert not target.parent.exists()
 
 
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("partitions", "--set", "J:5,1", "--n", "30000000"), "--n"),
+            (("verify", "--identity", "specialized", "--order", "200000000"), "--order"),
+        ],
+        ids=["partitions", "verify"],
+    )
+    def test_out_of_memory_is_a_usage_error(self, qpl_env, argv, flag):
+        # exit 1 means a verification failed; these once exited 1 with a
+        # MemoryError traceback. A child under an address-space cap and a
+        # timeout runs out of memory here without straining the machine.
+        code = (
+            "import resource, sys\n"
+            "cap = 400 * 1024 * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+            "from qpl.cli import main\n"
+            f"sys.exit(main({list(argv)!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=qpl_env,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"qpl: error: out of memory; try a smaller {flag}\n"
+
+
 _orders = st.integers(min_value=-3, max_value=30).map(str)
 _small = st.integers(min_value=-1, max_value=9).map(str)
 _verify_argv = st.tuples(

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpl.series
 from qpl.errors import NotInvertibleError, OrderMismatchError, ParameterError
-from qpl.series import QSeries, ZLaurentSeries, _pochhammer_product, triple_pochhammer
+from qpl.identities import battery
+from qpl.partitions import CountMode, _gf_product
+from qpl.partsets import PartSet
+from qpl.series import (
+    QSeries,
+    ZLaurentSeries,
+    _pochhammer_product,
+    _slot_bytes,
+    binomial_product,
+    triple_pochhammer,
+)
 
 
 @cache
@@ -131,13 +142,14 @@ class TestTriplePochhammer:
 
     def test_zero_product_expands_no_factor(self, monkeypatch):
         exps = []
-        real = QSeries.mul_binomial
+        real = qpl.series.binomial_product
 
-        def counted(series, coeff, exp):
-            exps.append(exp)
-            return real(series, coeff, exp)
+        def counted(order, terms):
+            terms = list(terms)
+            exps.extend(e for _, e in terms)
+            return real(order, terms)
 
-        monkeypatch.setattr(QSeries, "mul_binomial", counted)
+        monkeypatch.setattr(qpl.series, "binomial_product", counted)
         _pochhammer_product.cache_clear()
         assert triple_pochhammer(2, 0, -1, 90).is_zero()
         assert triple_pochhammer(5, 5, -1, 90).is_zero()
@@ -332,3 +344,129 @@ def test_mul_kernel_branches():
     for c in (0, 1, -1, 7, -(10**31)):
         for e in (1, 3, 5, 6, 40):
             assert b.mul_binomial(c, e) == schoolbook_mul_binomial(b, c, e)
+
+
+# ---------------------------------------------------------------------------
+# the packed binomial product against a chain of mul_binomial/div_binomial
+# ---------------------------------------------------------------------------
+
+
+def chained_product(order, terms):
+    """Reference: one mul_binomial per factor, on the list-based QSeries."""
+    out = QSeries.one(order)
+    for c, e in terms:
+        out = out.mul_binomial(c, e)
+    return out
+
+
+def unsigned_bits(order, terms):
+    """Bit length of the largest coefficient of prod (1 + q^e), exactly."""
+    return max(chained_product(order, [(1, e) for _, e in terms]).coeffs).bit_length()
+
+
+@pytest.fixture(scope="module")
+def battery_terms():
+    """Every distinct (order, terms) the order-400 battery hands the kernel."""
+    seen = {}
+    real = qpl.series.binomial_product
+
+    def recorded(order, terms):
+        terms = tuple(terms)
+        seen[order, terms] = None
+        return real(order, terms)
+
+    for memo in (_gf_product, _pochhammer_product):
+        memo.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in ("qpl.series", "qpl.partitions", "qpl.identities"):
+            mp.setattr(f"{module}.binomial_product", recorded)
+        battery(3, 8, 400)
+    for memo in (_gf_product, _pochhammer_product):
+        memo.cache_clear()
+    return list(seen)
+
+
+def test_battery_term_lists_match_chain(battery_terms):
+    # the gf_count products (all modes), both triple_pochhammer signs, the
+    # triple-product bound and Euler product, and the half-boundary products
+    assert len(battery_terms) > 150
+    for order, terms in battery_terms:
+        assert binomial_product(order, terms) == chained_product(order, terms)
+
+
+def list_gf_product(members, mode, order):
+    """The division-based expansion of gf_count, one factor at a time."""
+    g = mode.gamma
+    cap = mode.max_multiplicity
+    acc = QSeries.one(order)
+    for m in members:
+        if cap is None:
+            acc = acc.div_binomial(-g, m)
+        elif cap == 1:
+            acc = acc.mul_binomial(g, m)
+        else:
+            g_top = g if (cap + 1) % 2 else 1
+            if (cap + 1) * m <= order:
+                acc = acc.mul_binomial(-g_top, (cap + 1) * m)
+            acc = acc.div_binomial(-g, m)
+    return acc
+
+
+@pytest.mark.parametrize("cap", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("length_signed", [False, True])
+def test_gf_product_matches_division_chain(cap, length_signed):
+    mode = CountMode(cap, length_signed)
+    expand = _gf_product.__wrapped__
+    for part_set in (
+        PartSet.with_multiples(3, 1),
+        PartSet.plus_minus(5, 2),
+        PartSet.with_multiples(8, 3),
+    ):
+        members = tuple(part_set.members_upto(300))
+        assert expand(members, mode, 300) == list_gf_product(members, mode, 300)
+
+
+signed_term = st.tuples(st.sampled_from([1, -1]), st.integers(min_value=1, max_value=70))
+
+
+@given(st.integers(min_value=0, max_value=60), st.lists(signed_term, max_size=40))
+def test_random_term_lists_match_chain(order, terms):
+    # mixed signs, repeated exponents, exponents past the order, order 0
+    assert binomial_product(order, terms) == chained_product(order, terms)
+
+
+def test_binomial_product_edges():
+    assert binomial_product(0, [(1, 1), (-1, 5)]) == QSeries.one(0)
+    assert binomial_product(5, []) == QSeries.one(5)
+    assert binomial_product(3, [(-1, 1)] * 3).coeffs == (1, -3, 3, -1)
+    for order, terms in ((-1, []), (4, [(1, 0)]), (4, [(2, 1)]), (4, [(0, 1)])):
+        with pytest.raises(ParameterError):
+            binomial_product(order, terms)
+
+
+def test_slot_width_holds_the_unsigned_product(battery_terms):
+    n = 3000  # the gf_count that divisors --check --n 3000 expands for Jbar(5, 1)
+    terms = []
+    for m in PartSet.with_multiples(5, 1).members_upto(n):
+        e = m
+        while e <= n:
+            terms.append((1, e))
+            e *= 2
+    for order, ts in battery_terms + [(n, terms)]:
+        exps = [e for _, e in ts if e <= order]
+        assert 8 * _slot_bytes(order, exps) > unsigned_bits(order, ts)
+
+
+def test_narrow_slots_break_the_product(monkeypatch):
+    # one byte below the exact need, some slot overflows into its neighbour
+    order = 200
+    terms = [(c, m) for m in range(1, order + 1) for c in (-1, 1, 1)]
+    need = -(-unsigned_bits(order, terms) // 8)
+    expected = chained_product(order, terms)
+    assert binomial_product(order, terms) == expected
+    monkeypatch.setattr(qpl.series, "_slot_bytes", lambda order, exps: need - 1)
+    try:
+        narrow = binomial_product(order, terms)
+    except OverflowError:  # a carry out of the top slot does not unpack
+        narrow = None
+    assert narrow != expected
