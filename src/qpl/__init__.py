@@ -45,6 +45,7 @@ from .partitions import (
 from .divisors import (
     apostol_convolution_check,
     divisor_sum,
+    divisor_sums,
     divisor_table,
     kim_identity_check,
     recursive_divisor_sums,

@@ -16,11 +16,10 @@ import json
 import sys
 
 from .divisors import (
+    DIVISOR_METHODS,
     apostol_convolution_check,
-    divisor_table,
+    divisor_sums,
     kim_identity_check,
-    recursive_divisor_sums,
-    shift_formula_divisor_sums,
 )
 from .errors import OracleBoundError, ParameterError
 from .figurate import ModularParams, figurate_enumerate
@@ -42,8 +41,7 @@ from .partitions import (
     partition_shift_identities,
     recursion_table,
 )
-from .partsets import PartSet, parse_part_set
-from .series import QSeries
+from .partsets import parse_part_set
 from .theta import ThetaPoint, aux_theta, quasi_periodicity_residual, substituted_point
 
 EXIT_OK = 0
@@ -166,25 +164,15 @@ def _cmd_partitions(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _divisor_table(params: ModularParams, order: int, method: str) -> QSeries:
-    if method == "scan":
-        return divisor_table(PartSet.with_multiples(params.k, params.ell), order)
-    if method == "recursion":
-        return recursive_divisor_sums(params, order)
-    return shift_formula_divisor_sums(params, order)
-
-
 def _cmd_divisors(args) -> int:
     params = ModularParams(args.k, args.ell)
     order = args.n
     if order < 0:
         raise ParameterError("--n must be non-negative")
     if args.check:
-        tables = {
-            m: _divisor_table(params, order, m).coeffs for m in ("kim", "recursion", "scan")
-        }
+        tables = {m: divisor_sums(params, order, m).coeffs for m in DIVISOR_METHODS}
         return _emit_check(tables, range(1, order + 1), args)
-    values = _divisor_table(params, order, args.method).coeffs[1:]
+    values = divisor_sums(params, order, args.method).coeffs[1:]
     payload = {"schema": 1, "values": [str(v) for v in values]}
     _emit_table(args, payload, ["n", "value"], [[n + 1, v] for n, v in enumerate(values)])
     return EXIT_OK
@@ -240,9 +228,9 @@ def _single_verification(args):
 def _cmd_verify(args) -> int:
     if args.all:
         lo, hi = _parse_grid(args.grid)
-        results = battery(
-            lo, hi, args.order, z_window=args.zwindow, jobs=args.jobs
-        )
+        if args.jobs < 1:
+            raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
+        results = battery(lo, hi, args.order, z_window=args.zwindow)
     else:
         if args.identity is None:
             raise ParameterError("verify needs --identity NAME or --all")
@@ -356,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     div.add_argument("--k", type=int, required=True)
     div.add_argument("--ell", type=int, required=True)
     div.add_argument("--n", type=int, required=True)
-    div.add_argument("--method", choices=("scan", "recursion", "kim"), default="scan")
+    div.add_argument("--method", choices=DIVISOR_METHODS, default="scan")
     div.add_argument("--check", action="store_true")
     _add_io_flags(div, ("csv", "json"))
     div.set_defaults(func=_cmd_divisors)
@@ -373,7 +361,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--gamma", type=int, choices=(1, -1), default=1)
     ver.add_argument("--s", type=int, default=3)
     ver.add_argument("--d", type=int, default=1)
-    ver.add_argument("--jobs", type=int, default=1)
+    ver.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for older invocations; the battery runs serially",
+    )
     _add_io_flags(ver, ("json",))
     ver.set_defaults(func=_cmd_verify)
 

@@ -81,6 +81,25 @@ def shift_formula_divisor_sums(params: ModularParams, order: int) -> QSeries:
     return shifts * p
 
 
+# the routes of divisor_sums, as `divisors --method` names them
+DIVISOR_METHODS = ("scan", "recursion", "kim")
+
+
+def divisor_sums(params: ModularParams, order: int, method: str) -> QSeries:
+    """The restricted divisor sums of the residues-with-multiples family to
+    ``order`` by one route: direct divisor scans, the finite recursion, or
+    the figurate-shift formula of Kim's identity."""
+    if method == "scan":
+        return divisor_table(PartSet.with_multiples(params.k, params.ell), order)
+    if method == "recursion":
+        return recursive_divisor_sums(params, order)
+    if method == "kim":
+        return shift_formula_divisor_sums(params, order)
+    raise ParameterError(
+        f"unknown divisor method {method!r}; expected one of {', '.join(DIVISOR_METHODS)}"
+    )
+
+
 def apostol_convolution_check(params: ModularParams, order: int) -> VerificationReport:
     """Check n·r(n) = -f(n) - sum_{j=1}^{n-1} r(j)·f(n-j) for 1 <= n <= order,
 

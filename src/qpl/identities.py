@@ -7,9 +7,6 @@ at the verified order or carries the first mismatching coefficient.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable
-
 from . import reports
 from .divisors import apostol_convolution_check, kim_identity_check
 from .errors import ParameterError
@@ -28,7 +25,14 @@ from .partitions import (
     partition_shift_identities,
 )
 from .reports import VerificationReport, compare_series, first_diff
-from .series import QSeries, ZLaurentSeries, _unpack, binomial_product, triple_pochhammer
+from .series import (
+    QSeries,
+    ZLaurentSeries,
+    _slot_bytes,
+    _unpack,
+    binomial_product,
+    triple_pochhammer,
+)
 
 
 # --------------------------------------------------------------------------
@@ -108,8 +112,9 @@ def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
     clamp only drops terms, so each coefficient of each row of each partial
     product is at most the matching coefficient of the whole product at
     z = 1, which is 2·prod_{m<=q_order} (1+q^m)^2 (the factor 1 + q^0·z gives
-    the 2). W is the least whole number of bytes above that bound's bit
-    length (72 bits at order 400), and each row unpacks in O(q_order)
+    the 2). That is prod (1 + q^e) over e = 0 and each m twice, so W comes
+    from the same saddle bound as every other packed product,
+    _slot_bytes (80 bits at order 400), and each row unpacks in O(q_order)
     through to_bytes. Zero rows skip the final prod (1-q^m) multiply.
     """
     n = q_order
@@ -117,8 +122,7 @@ def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
     size = 2 * w + 1
     zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
 
-    bound = binomial_product(n, [(1, m) for m in range(1, n + 1) for _ in range(2)])
-    slot_bytes = (2 * max(bound.coeffs)).bit_length() // 8 + 1
+    slot_bytes = _slot_bytes(n, [0] + [m for m in range(1, n + 1) for _ in range(2)])
     width = 8 * slot_bytes
 
     rows = [0] * size
@@ -232,14 +236,6 @@ def verify_hermite(s: int) -> VerificationReport:
             n = first_diff(got, expected)
             return reports.failed(
                 "hermite", parameters, order, n, got[n], expected[n], z_exponent=j
-            )
-    # z-exponents beyond |s| must vanish on the product side
-    for j in (-s - 1, s + 1):
-        if not lhs.zcoeff(j).is_zero():
-            series = lhs.zcoeff(j)
-            n = next(i for i, c in enumerate(series.coeffs) if c)
-            return reports.failed(
-                "hermite", parameters, order, n, series[n], 0, z_exponent=j
             )
 
     if s >= 1:
@@ -357,42 +353,25 @@ _BATTERY_HERMITE_MAX_S = 4
 _BATTERY_D_VALUES = (1, 2, 3)
 
 
-def battery(
-    k_lo: int, k_hi: int, order: int, z_window: int = 8, jobs: int = 1
-) -> list[VerificationReport]:
-    """Run every verification over a k-grid; deterministic task order.
-
-    Tasks are independent and may fan out over ``jobs`` worker threads;
-    results are collected in submission order so the report is reproducible
-    byte for byte.
-    """
-    if jobs < 1:
-        raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    tasks: list[Callable[[], VerificationReport]] = []
-    tasks.append(partial(verify_triple_product, order, z_window))
+def battery(k_lo: int, k_hi: int, order: int, z_window: int = 8) -> list[VerificationReport]:
+    """Run every verification over a k-grid, one after another, in a fixed
+    order, so the report is reproducible byte for byte."""
+    out = [verify_triple_product(order, z_window)]
     for s in range(_BATTERY_HERMITE_MAX_S + 1):
-        tasks.append(partial(verify_hermite, s))
+        out.append(verify_hermite(s))
     for k in range(k_lo, k_hi + 1):
-        tasks.append(partial(verify_berger, k, order))
+        out.append(verify_berger(k, order))
         if k % 2 == 0:
-            tasks.append(partial(verify_boundary_half, k, order))
+            out.append(verify_boundary_half(k, order))
         for ell in range(k + 1):
             for sign in (1, -1):
-                tasks.append(
-                    partial(verify_specialized, ModularParams(k, ell), sign, order)
-                )
+                out.append(verify_specialized(ModularParams(k, ell), sign, order))
     for params in interior_grid(k_lo, k_hi):
-        tasks.append(partial(verify_sylvester, params, order))
+        out.append(verify_sylvester(params, order))
         for gamma in (1, -1):
-            tasks.append(partial(partition_shift_identities, params, gamma, order))
+            out.append(partition_shift_identities(params, gamma, order))
         for d in _BATTERY_D_VALUES:
-            tasks.append(partial(bounded_mult_shift_identity, params, d, order))
-        tasks.append(partial(apostol_convolution_check, params, order))
-        tasks.append(partial(kim_identity_check, params, order))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor  # ~8 ms of import time
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: t(), tasks))
-    return [t() for t in tasks]
+            out.append(bounded_mult_shift_identity(params, d, order))
+        out.append(apostol_convolution_check(params, order))
+        out.append(kim_identity_check(params, order))
+    return out

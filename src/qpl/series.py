@@ -205,20 +205,6 @@ class QSeries:
                 out[i] -= coeff * out[i - exp]
         return QSeries(tuple(out))
 
-    # serialization ----------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """JSON form with decimal-string coefficients to survive any tooling."""
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QSeries":
-        order = int(data["order"])
-        coeffs = tuple(int(s) for s in data["coeffs"])
-        if len(coeffs) != order + 1:
-            raise ValueError("coeffs length must equal order + 1")
-        return cls(coeffs)
-
     # display ----------------------------------------------------------------------
 
     def terms_str(self, max_terms: int = 10) -> str:
@@ -438,18 +424,20 @@ _SADDLE_STEPS = (0.25, 0.5, 0.75, 1.0, 1.5)
 
 def _slot_bytes(order: int, exps) -> int:
     """Whole bytes per slot that hold every coefficient of U = prod (1 + q^e)
-    over ``exps`` (each 1 <= e <= order), truncated at ``order``.
+    over ``exps`` (each 0 <= e <= order; e = 0 is a factor 2), truncated at
+    ``order``.
 
     U has non-negative coefficients, so for every 0 < x < 1 and i <= order,
     U_i·x^order <= U_i·x^i <= U(x): each U_i is at most U(x)/x^order (the
     saddle-point bound of Apostol's proof that p(n) < e^{π·sqrt(2n/3)}). Any
     x gives a valid bound, so log2 U(x) - order·log2 x is evaluated in floats
     at a few x = e^{-t} and the smallest kept; 2 bits cover the rounding of
-    the float sum, and the width is rounded up to whole bytes.
+    the float sum, and the width is rounded up to whole bytes. At order 0
+    the steps are taken as if the order were 1, which is just another x.
     """
     if not exps:
         return 1
-    root = order ** 0.5
+    root = max(order, 1) ** 0.5
     best = min(
         sum(math.log1p(math.exp(-t * e)) for e in exps) + order * t
         for t in (s / root for s in _SADDLE_STEPS)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpl.cli
+import qpl.divisors
 from qpl.cli import main
 
 IDENTITIES = (
@@ -195,7 +196,8 @@ class TestDivisors:
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
     def test_disagreement_fails_at_its_row(self, capsys, monkeypatch, fmt):
-        real = qpl.cli.recursive_divisor_sums
+        # the route dispatch lives in the library, so the route is patched there
+        real = qpl.divisors.recursive_divisor_sums
 
         def corrupted(params, order):
             table = real(params, order)
@@ -203,7 +205,7 @@ class TestDivisors:
             values[3] += 1
             return dataclasses.replace(table, coeffs=tuple(values))
 
-        monkeypatch.setattr(qpl.cli, "recursive_divisor_sums", corrupted)
+        monkeypatch.setattr(qpl.divisors, "recursive_divisor_sums", corrupted)
         code, out, _ = run(
             capsys, "divisors", "--k", "5", "--ell", "2", "--n", "4", "--check",
             "--format", fmt,
@@ -275,11 +277,11 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "--all", "--grid", "k=3..4", "--order", "30")
         _, second, _ = run(capsys, "verify", "--all", "--grid", "k=3..4", "--order", "30")
         assert first == second
-        _, threaded, _ = run(
+        _, with_jobs, _ = run(
             capsys, "verify", "--all", "--grid", "k=3..4", "--order", "30",
             "--jobs", "3",
         )
-        assert first == threaded
+        assert first == with_jobs
 
     def test_unknown_identity(self, capsys):
         code, _, err = run(capsys, "verify", "--identity", "nope", "--order", "10")

@@ -171,3 +171,14 @@ def test_battery_400_bytes_match_benchmark_golden(monkeypatch):
     monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
     digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
     assert run_digest(BATTERY_400) == (0, digests["qpl " + " ".join(BATTERY_400)])
+
+
+def test_battery_jobs2_bytes_match_benchmark_golden(monkeypatch):
+    # --jobs is accepted and changes nothing: the golden bytes of the order-200
+    # battery with --jobs 2 are those of the same run without it
+    monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+    serial = ("verify", "--all", "--grid", "k=3..8", "--order", "200")
+    jobs2 = (*serial, "--jobs", "2")
+    assert digests["qpl " + " ".join(jobs2)] == digests["qpl " + " ".join(serial)]
+    assert run_digest(jobs2) == (0, digests["qpl " + " ".join(jobs2)])

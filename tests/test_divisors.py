@@ -5,6 +5,7 @@ import pytest
 from qpl.divisors import (
     apostol_convolution_check,
     divisor_sum,
+    divisor_sums,
     divisor_table,
     kim_identity_check,
     recursive_divisor_sums,
@@ -89,6 +90,13 @@ class TestRecursion:
         for k, ell in [(4, 2), (3, 0), (2, 1)]:
             with pytest.raises(ParameterError):
                 recursive_divisor_sums(ModularParams(k, ell), 10)
+
+
+class TestRoutes:
+    def test_unknown_method_rejected(self):
+        # the CLI's choices keep it from reaching here; a library caller can
+        with pytest.raises(ParameterError, match="unknown divisor method 'sieve'"):
+            divisor_sums(ModularParams(5, 2), 10, "sieve")
 
 
 class TestSeriesRelations:

@@ -144,7 +144,7 @@ class TestTripleProduct:
     )
     def test_packed_rows_equal_list_rows(self, q_order, z_window):
         # past order 30, where the slots are wide and the coefficients large;
-        # (400, 8) is the battery's call, with 72-bit slots
+        # (400, 8) is the battery's call, with 80-bit slots
         assert _triple_product_rows(q_order, z_window) == list_triple_product_rows(
             q_order, z_window
         )
@@ -296,19 +296,30 @@ class TestBattery:
             "kim",
         } <= names
 
-    def test_jobs_do_not_change_output(self):
-        serial = [r.to_json_dict() for r in battery(3, 4, 30)]
-        threaded = [r.to_json_dict() for r in battery(3, 4, 30, jobs=4)]
-        assert serial == threaded
-
     def test_cli_import_leaves_the_thread_pool_unloaded(self, qpl_env):
-        # a fresh interpreter: this one may have loaded it for jobs > 1
+        # a fresh interpreter: this one may have loaded it for other reasons
         probe = "import sys, qpl.cli; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, timeout=60, env=qpl_env,
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_jobs_flag_runs_without_a_thread_pool(self, qpl_env):
+        # --jobs is still accepted, and the battery still runs serially
+        probe = (
+            "import contextlib, io, sys\n"
+            "from qpl.cli import main\n"
+            "argv = ['verify', '--all', '--grid', 'k=3..4', '--order', '20', '--jobs', '2']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(argv)\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60, env=qpl_env,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0 False\n")
 
     def test_gf_count_memo_catches_every_repeat(self):
         # work counter, not a timing: every repeated product of the battery

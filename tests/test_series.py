@@ -206,19 +206,6 @@ class TestLaurent:
             ZLaurentSeries(0, (QSeries.one(3), QSeries.one(4)))
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        a = QSeries.from_coeffs([1, -(10**40), 0, 7])
-        d = a.to_json_dict()
-        assert d["order"] == 3
-        assert d["coeffs"][1] == str(-(10**40))
-        assert QSeries.from_json_dict(d) == a
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            QSeries.from_json_dict({"order": 2, "coeffs": ["1", "2"]})
-
-
 # ---------------------------------------------------------------------------
 # algebraic properties
 # ---------------------------------------------------------------------------
@@ -388,7 +375,7 @@ def battery_terms():
 
 def test_battery_term_lists_match_chain(battery_terms):
     # the gf_count products (all modes), both triple_pochhammer signs, the
-    # triple-product bound and Euler product, and the half-boundary products
+    # triple product's Euler product, and the half-boundary products
     assert len(battery_terms) > 150
     for order, terms in battery_terms:
         assert binomial_product(order, terms) == chained_product(order, terms)
@@ -455,6 +442,11 @@ def test_slot_width_holds_the_unsigned_product(battery_terms):
     for order, ts in battery_terms + [(n, terms)]:
         exps = [e for _, e in ts if e <= order]
         assert 8 * _slot_bytes(order, exps) > unsigned_bits(order, ts)
+    # the triple-product rows: 2·prod (1 + q^m)^2, with e = 0 as the factor 2
+    for order in (0, 1, 2, 30, 200, 400):
+        ms = [m for m in range(1, order + 1) for _ in range(2)]
+        row_bits = (2 * max(chained_product(order, [(1, m) for m in ms]).coeffs)).bit_length()
+        assert 8 * _slot_bytes(order, [0] + ms) > row_bits
 
 
 def test_narrow_slots_break_the_product(monkeypatch):
