@@ -24,14 +24,13 @@ from .partitions import (
     gf_count,
     partition_shift_identities,
 )
-from .reports import VerificationReport, compare_series, first_diff
+from .reports import VerificationReport, compare_series
 from .series import (
     QSeries,
     ZLaurentSeries,
-    _slot_bytes,
-    _unpack,
     binomial_product,
     triple_pochhammer,
+    triple_product_rows,
 )
 
 
@@ -44,114 +43,31 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
     """Expand prod_m (1-q^m)(1+q^m z^{-1})(1+q^{m-1}z) and compare the
     coefficient of z^j with q^{(j^2-j)/2} for |j| <= z_window, up to q_order.
 
-    Soundness of the finite computation:
-
-    * factors with m-1 > q_order multiply every retained q-exponent past the
-      order, so only m <= q_order + 1 is expanded;
-    * the accumulation window is widened to |j| <= z_window + B where
-      B(B-1)/2 > q_order: a term that leaves the widened window can only come
-      back to the reported window by z-moves with distinct q-costs whose sum
-      exceeds q_order, so clamping never changes a reported coefficient;
-    * a term of z^j uses at least |j| z-moves with distinct q-costs, so row j
-      is zero below q^{j(j-1)/2} (q^{|j|(|j|+1)/2} for negative j) in every
-      partial product, clamped or not; row updates skip that prefix, and for
-      |j| >= B both that exponent and the expected q^{(j^2-j)/2} pass the
-      order, so both sides of every such row are zero. Only |j| <= min(z_window,
-      B) is expanded and compared, however large the requested window;
-    * the z-rows are expanded without the (1-q^m) factors, which are applied
-      afterwards as one product prod_m (1-q^m) (built factor by factor, not
-      from the pentagonal series the identity is about): multiplying every
-      row by the same q-series commutes with the z-shifts, with the window
-      clamp and with truncation at q_order, so the order of the factors
-      cannot change a coefficient;
-    * the rows are packed into fixed-width integer slots whose width exceeds
-      every coefficient of every partial product (argued at
-      _triple_product_rows), so no slot carries into its neighbour.
+    triple_product_rows stores the rows |j| <= B, B(B-1)/2 > q_order; past
+    them both the rows and q^{(j^2-j)/2} lie beyond the order, so only
+    |j| <= min(z_window, B) is compared, however large the window. Each
+    compared row is then multiplied by prod_m (1-q^m), built factor by
+    factor rather than from the pentagonal series the identity is about:
+    multiplying every row by one q-series commutes with the z-shifts and
+    with truncation, so the order of the factors changes no coefficient.
     """
     if q_order < 0 or z_window < 0:
         raise ParameterError("q_order and z_window must be non-negative")
-    n_ord = q_order
-    j_win = min(z_window, _z_margin(n_ord))
-    product = _triple_product_rows(n_ord, j_win)
-
+    rows = triple_product_rows(q_order)
+    euler = binomial_product(q_order, [(-1, m) for m in range(1, q_order + 1)])
+    j_win = min(z_window, rows.margin)
     parameters = {"z_window": z_window}
     for j in range(-j_win, j_win + 1):
         e = (j * j - j) // 2
         expected = (
-            QSeries.monomial(e, n_ord) if e <= n_ord else QSeries.zero(n_ord)
+            QSeries.monomial(e, q_order) if e <= q_order else QSeries.zero(q_order)
         )
-        got = product.zcoeff(j)
-        if got != expected:
-            n = first_diff(got, expected)
-            return reports.failed(
-                "triple_product", parameters, n_ord, n, got[n], expected[n], z_exponent=j
-            )
-    return reports.passed("triple_product", parameters, n_ord)
-
-
-def _z_margin(q_order: int) -> int:
-    """The least B >= 2 with B(B-1)/2 > q_order."""
-    b = 2
-    while b * (b - 1) // 2 <= q_order:
-        b += 1
-    return b
-
-
-def _triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
-    """Every row of the windowed triple-product expansion, clamped rows
-    included; the window and the factor order are argued in
-    verify_triple_product.
-
-    Each z-row is one Python int: the coefficient of q^e sits in bits
-    [e·W, (e+1)·W) for a slot width W, so multiplying by (1 + q^s z^{±1})
-    adds a masked, shifted copy of the neighbouring row in a few big-int
-    operations. The mask drops the slots that the shift would move past
-    q_order. The shifted copy has non-negative slots, so the add is exact
-    as long as no slot overflows. It cannot: every factor
-    (1 + q^m z^{-1})(1 + q^{m-1} z) has non-negative coefficients and the
-    clamp only drops terms, so each coefficient of each row of each partial
-    product is at most the matching coefficient of the whole product at
-    z = 1, which is 2·prod_{m<=q_order} (1+q^m)^2 (the factor 1 + q^0·z gives
-    the 2). That is prod (1 + q^e) over e = 0 and each m twice, so W comes
-    from the same saddle bound as every other packed product,
-    _slot_bytes (80 bits at order 400), and each row unpacks in O(q_order)
-    through to_bytes. Zero rows skip the final prod (1-q^m) multiply.
-    """
-    n = q_order
-    w = z_window + _z_margin(n)
-    size = 2 * w + 1
-    zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
-
-    slot_bytes = _slot_bytes(n, [0] + [m for m in range(1, n + 1) for _ in range(2)])
-    width = 8 * slot_bytes
-
-    rows = [0] * size
-    rows[w] = 1
-    lo = hi = w  # active row range
-    for m in range(1, n + 2):
-        # (1 + q^{m-1} z), descending so each source row is still the pre-multiply value
-        s = m - 1
-        keep = (1 << width * (n + 1 - s)) - 1
-        shift = width * s
-        if hi < size - 1:
-            hi += 1
-        for idx in range(hi, lo, -1):
-            if s + zero_below[idx - 1] <= n:
-                rows[idx] += (rows[idx - 1] & keep) << shift
-        if m <= n:
-            # (1 + q^m z^{-1}), ascending for the same reason
-            keep = (1 << width * (n + 1 - m)) - 1
-            shift = width * m
-            if lo > 0:
-                lo -= 1
-            for idx in range(lo, hi):
-                if m + zero_below[idx + 1] <= n:
-                    rows[idx] += (rows[idx + 1] & keep) << shift
-
-    euler = binomial_product(n, [(-1, m) for m in range(1, n + 1)])
-    zero = QSeries.zero(n)
-    out = [euler * QSeries(_unpack(row, slot_bytes, n)) if row else zero for row in rows]
-    return ZLaurentSeries(-w, tuple(out))
+        rep = compare_series(
+            "triple_product", parameters, q_order, euler * rows.zcoeff(j), expected, j
+        )
+        if not rep.passed:
+            return rep
+    return reports.passed("triple_product", parameters, q_order)
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +147,9 @@ def verify_hermite(s: int) -> VerificationReport:
         # degree (s^2 - j^2) + (j^2 - j)/2 <= s^2: padding and shifting drop nothing
         gauss = gaussian_binomial(2 * s, s + j)
         expected = QSeries.from_coeffs(gauss.coeffs, order).shift(e)
-        got = lhs.zcoeff(j)
-        if got != expected:
-            n = first_diff(got, expected)
-            return reports.failed(
-                "hermite", parameters, order, n, got[n], expected[n], z_exponent=j
-            )
+        rep = compare_series("hermite", parameters, order, lhs.zcoeff(j), expected, j)
+        if not rep.passed:
+            return rep
 
     if s >= 1:
         for params in _HERMITE_GRID:

@@ -52,37 +52,19 @@ def passed(identity: str, parameters: dict, order: int) -> VerificationReport:
     return VerificationReport(identity, parameters, order, True)
 
 
-def failed(
+def compare_series(
     identity: str,
     parameters: dict,
     order: int,
-    q_exponent: int,
-    lhs: int,
-    rhs: int,
+    lhs: QSeries,
+    rhs: QSeries,
     z_exponent: int | None = None,
 ) -> VerificationReport:
-    return VerificationReport(
-        identity,
-        parameters,
-        order,
-        False,
-        Mismatch(q_exponent, lhs, rhs, z_exponent),
-    )
-
-
-def first_diff(lhs: QSeries, rhs: QSeries) -> int | None:
-    """The first q-exponent where the two series differ, or None."""
-    for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
-        if a != b:
-            return n
-    return None
-
-
-def compare_series(
-    identity: str, parameters: dict, order: int, lhs: QSeries, rhs: QSeries
-) -> VerificationReport:
-    """Exact coefficient comparison; a fail pinpoints the first bad exponent."""
-    n = first_diff(lhs, rhs)
-    if n is None:
-        return passed(identity, parameters, order)
-    return failed(identity, parameters, order, n, lhs[n], rhs[n])
+    """Exact coefficient comparison; a fail pinpoints the first bad exponent
+    (and the z-exponent of the row compared, when given)."""
+    if lhs.coeffs != rhs.coeffs:
+        for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+            if a != b:
+                mismatch = Mismatch(n, a, b, z_exponent)
+                return VerificationReport(identity, parameters, order, False, mismatch)
+    return passed(identity, parameters, order)

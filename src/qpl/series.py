@@ -16,7 +16,14 @@ from operator import add, mul, sub
 
 from .errors import NotInvertibleError, OrderMismatchError, ParameterError
 
-__all__ = ["QSeries", "ZLaurentSeries", "binomial_product", "triple_pochhammer"]
+__all__ = [
+    "PackedZRows",
+    "QSeries",
+    "ZLaurentSeries",
+    "binomial_product",
+    "triple_pochhammer",
+    "triple_product_rows",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,6 +412,74 @@ def binomial_product(order: int, terms) -> QSeries:
     if neg:
         coeffs = tuple(map(sub, coeffs, _unpack(neg, slot_bytes, order)))
     return QSeries(coeffs)
+
+
+@dataclass(frozen=True, slots=True)
+class PackedZRows:
+    """The z-rows -margin..margin of a two-variable series, each packed into
+    one int as in binomial_product and unpacked only when read."""
+
+    margin: int
+    packed: tuple[int, ...]
+    slot_bytes: int
+    order: int
+
+    def zcoeff(self, j: int) -> QSeries:
+        """Coefficient of z^j; zero outside the stored rows."""
+        idx = j + self.margin
+        if 0 <= idx < len(self.packed) and self.packed[idx]:
+            return QSeries(_unpack(self.packed[idx], self.slot_bytes, self.order))
+        return QSeries.zero(self.order)
+
+
+def triple_product_rows(order: int) -> PackedZRows:
+    """Expand prod_{m>=1} (1 + q^m z^{-1})(1 + q^{m-1} z), truncated at ``order``.
+
+    A term of z^j uses at least |j| z-moves with distinct q-costs, so row j
+    is zero below q^{j(j-1)/2} in every partial product, and row updates
+    skip sources whose shifted copy starts past the order. Rows -B..B are
+    stored, B the least margin with B(B-1)/2 > order: rows j >= B and
+    j <= -(B-1) lie wholly past q^order, and every factor only raises
+    q-exponents, so the descendants of a term that leaves the stored rows
+    stay past the order too and truncation alone keeps every row exact.
+    Factors with m - 1 > order are 1 + O(q^{order+1}) and are skipped.
+
+    Multiplying by (1 + q^s z^{±1}) adds to each row a masked, shifted copy
+    of its neighbour. Every factor has non-negative coefficients and
+    truncation only drops terms, so each slot of each partial product is at
+    most the matching coefficient of the whole product at z = 1,
+    2·prod_{m<=order} (1+q^m)^2: that is prod (1 + q^e) over e = 0 and each
+    m twice, bounded by _slot_bytes (80 bits at order 400), and no slot
+    carries into its neighbour.
+    """
+    if order < 0:
+        raise ParameterError("order must be non-negative")
+    n = order
+    b = 2
+    while b * (b - 1) // 2 <= n:
+        b += 1
+    size = 2 * b + 1
+    zero_below = [(idx - b) * (idx - b - 1) // 2 for idx in range(size)]
+    slot_bytes = _slot_bytes(n, [0] + [m for m in range(1, n + 1) for _ in range(2)])
+    width = 8 * slot_bytes
+    rows = [0] * size
+    rows[b] = 1
+    for m in range(1, n + 2):
+        # (1 + q^{m-1} z), descending so each source row is still the pre-multiply value
+        s = m - 1
+        keep = (1 << width * (n + 1 - s)) - 1
+        shift = width * s
+        for idx in range(size - 1, 0, -1):
+            if s + zero_below[idx - 1] <= n:
+                rows[idx] += (rows[idx - 1] & keep) << shift
+        if m <= n:
+            # (1 + q^m z^{-1}), ascending for the same reason
+            keep = (1 << width * (n + 1 - m)) - 1
+            shift = width * m
+            for idx in range(size - 1):
+                if m + zero_below[idx + 1] <= n:
+                    rows[idx] += (rows[idx + 1] & keep) << shift
+    return PackedZRows(b, tuple(rows), slot_bytes, n)
 
 
 def _unpack(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:

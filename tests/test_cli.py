@@ -287,6 +287,11 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--identity", "nope", "--order", "10")
         assert code == 2
 
+    def test_unknown_identity_is_named(self, capsys):
+        assert run(capsys, "verify", "--identity", "nosuch") == (
+            2, "", "qpl: error: unknown identity 'nosuch'\n"
+        )
+
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "verify", "--all", "--grid", "m=1..2")
         assert code == 2

@@ -32,7 +32,7 @@ from qpl.partitions import (
 )
 from qpl.partsets import PartSet
 from qpl.reports import compare_series
-from qpl.series import QSeries, ZLaurentSeries
+from qpl.series import PackedZRows, QSeries
 
 ORDER = 40
 E = 17
@@ -126,19 +126,19 @@ def test_kim_formula_stage(monkeypatch):
 
 
 def test_triple_product(monkeypatch):
-    real = qpl.identities._triple_product_rows
+    real = PackedZRows.zcoeff
 
-    def corrupted(q_order, z_window):
-        product = real(q_order, z_window)
-        rows = list(product.zcoeffs)
-        idx = 2 - product.zlo
-        coeffs = list(rows[idx].coeffs)
+    def corrupted(rows, j):
+        row = real(rows, j)
+        if j != 2:
+            return row
+        coeffs = list(row.coeffs)
         coeffs[E] += 1
-        rows[idx] = QSeries(tuple(coeffs))
-        return ZLaurentSeries(product.zlo, tuple(rows))
+        return QSeries(tuple(coeffs))
 
-    monkeypatch.setattr(qpl.identities, "_triple_product_rows", corrupted)
-    # z^2 carries q^1 alone, so the bumped coefficient was 0
+    monkeypatch.setattr(PackedZRows, "zcoeff", corrupted)
+    # z^2 carries q^1 alone, so the bumped coefficient was 0; the Euler
+    # product has constant term 1 and leaves every exponent below E alone
     assert_fails_at(verify_triple_product(ORDER, 4), E, 1, 0, z=2)
 
 

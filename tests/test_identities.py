@@ -9,7 +9,6 @@ import pytest
 from qpl.errors import ParameterError
 from qpl.figurate import ModularParams
 from qpl.identities import (
-    _triple_product_rows,
     battery,
     compare_series,
     interior_grid,
@@ -21,7 +20,14 @@ from qpl.identities import (
     verify_triple_product,
 )
 from qpl.partitions import _gf_product
-from qpl.series import QSeries, ZLaurentSeries, _pochhammer_product, triple_pochhammer
+from qpl.series import (
+    QSeries,
+    ZLaurentSeries,
+    _pochhammer_product,
+    binomial_product,
+    triple_pochhammer,
+    triple_product_rows,
+)
 
 
 def reference_triple_product(q_order: int, factors: int) -> ZLaurentSeries:
@@ -37,74 +43,67 @@ def reference_triple_product(q_order: int, factors: int) -> ZLaurentSeries:
     return acc
 
 
-def interleaved_triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
-    """The windowed row expansion with (1-q^m) applied inside the factor loop
-    and every row updated in full: the reference for the reordered helper."""
-    n_ord, j_win = q_order, z_window
+def margin(q_order: int) -> int:
+    """The least B >= 2 with B(B-1)/2 > q_order: rows -B..B hold every term."""
     b = 2
-    while b * (b - 1) // 2 <= n_ord:
+    while b * (b - 1) // 2 <= q_order:
         b += 1
-    w = j_win + b
-    size = 2 * w + 1
-    rows = [[0] * (n_ord + 1) for _ in range(size)]
-    rows[w][0] = 1
-    lo = hi = w
-    for m in range(1, n_ord + j_win + 3):
-        if m <= n_ord:
-            for idx in range(lo, hi + 1):
-                row = rows[idx]
+    return b
+
+
+def euler_product(q_order: int) -> QSeries:
+    return binomial_product(q_order, [(-1, m) for m in range(1, q_order + 1)])
+
+
+def interleaved_triple_product_rows(q_order: int) -> ZLaurentSeries:
+    """Rows -B..B of the triple product with (1-q^m) applied inside the
+    factor loop and every row updated in full: the reference for the rows
+    multiplied by the Euler product afterwards."""
+    n = q_order
+    b = margin(n)
+    size = 2 * b + 1
+    rows = [[0] * (n + 1) for _ in range(size)]
+    rows[b][0] = 1
+    for m in range(1, n + 2):
+        if m <= n:
+            for row in rows:
                 row[m:] = [a - c for a, c in zip(row[m:], row)]
         e_up = m - 1
-        if e_up <= n_ord:
-            if hi < size - 1:
-                hi += 1
-            for idx in range(hi, lo, -1):
-                row, src = rows[idx], rows[idx - 1]
-                row[e_up:] = [a + c for a, c in zip(row[e_up:], src)]
-        if m <= n_ord:
-            if lo > 0:
-                lo -= 1
-            for idx in range(lo, hi):
+        for idx in range(size - 1, 0, -1):
+            row, src = rows[idx], rows[idx - 1]
+            row[e_up:] = [a + c for a, c in zip(row[e_up:], src)]
+        if m <= n:
+            for idx in range(size - 1):
                 row, src = rows[idx], rows[idx + 1]
                 row[m:] = [a + c for a, c in zip(row[m:], src)]
-    return ZLaurentSeries(-w, tuple(QSeries(tuple(r)) for r in rows))
+    return ZLaurentSeries(-b, tuple(QSeries(tuple(r)) for r in rows))
 
 
-def list_triple_product_rows(q_order: int, z_window: int) -> ZLaurentSeries:
-    """The row expansion with each z-row a list of coefficients, updated by a
-    map over the row: the reference for the packed-integer rows."""
+def list_triple_product_rows(q_order: int) -> ZLaurentSeries:
+    """Rows -B..B of prod (1+q^m z^{-1})(1+q^{m-1}z), each z-row a list of
+    coefficients updated by a map over the row: the reference for the
+    packed-integer rows."""
     n = q_order
-    b = 2
-    while b * (b - 1) // 2 <= n:
-        b += 1
-    w = z_window + b
-    size = 2 * w + 1
-    zero_below = [(idx - w) * (idx - w - 1) // 2 for idx in range(size)]
+    b = margin(n)
+    size = 2 * b + 1
+    zero_below = [(idx - b) * (idx - b - 1) // 2 for idx in range(size)]
     rows = [[0] * (n + 1) for _ in range(size)]
-    rows[w][0] = 1
-    lo = hi = w
+    rows[b][0] = 1
     for m in range(1, n + 2):
-        if hi < size - 1:
-            hi += 1
-        for idx in range(hi, lo, -1):
+        for idx in range(size - 1, 0, -1):
             p = zero_below[idx - 1]
             e = m - 1 + p
             if e <= n:
                 row = rows[idx]
                 row[e:] = map(add, row[e:], rows[idx - 1][p:])
         if m <= n:
-            if lo > 0:
-                lo -= 1
-            for idx in range(lo, hi):
+            for idx in range(size - 1):
                 p = zero_below[idx + 1]
                 e = m + p
                 if e <= n:
                     row = rows[idx]
                     row[e:] = map(add, row[e:], rows[idx + 1][p:])
-    euler = QSeries.one(n)
-    for m in range(1, n + 1):
-        euler = euler.mul_binomial(-1, m)
-    return ZLaurentSeries(-w, tuple(euler * QSeries(tuple(r)) for r in rows))
+    return ZLaurentSeries(-b, tuple(QSeries(tuple(r)) for r in rows))
 
 
 class TestTripleProduct:
@@ -130,13 +129,25 @@ class TestTripleProduct:
             )
             assert ref.zcoeff(j) == expected
 
+    def test_rows_equal_unclamped_reference(self):
+        # every stored row and one past each end, against full-support
+        # Laurent products that drop nothing but what passes the order
+        for q_order in range(17):
+            rows = triple_product_rows(q_order)
+            euler = euler_product(q_order)
+            ref = reference_triple_product(q_order, q_order + 1)
+            assert rows.margin == margin(q_order)
+            for j in range(-rows.margin - 1, rows.margin + 2):
+                assert euler * rows.zcoeff(j) == ref.zcoeff(j), (q_order, j)
+
     def test_reordered_rows_equal_interleaved_loop(self):
-        # every row of the widened window, the clamped edge rows included
+        # every stored row and one past each end
         for q_order in range(31):
-            for z_window in range(6):
-                assert _triple_product_rows(
-                    q_order, z_window
-                ) == interleaved_triple_product_rows(q_order, z_window)
+            rows = triple_product_rows(q_order)
+            euler = euler_product(q_order)
+            ref = interleaved_triple_product_rows(q_order)
+            for j in range(-rows.margin - 1, rows.margin + 2):
+                assert euler * rows.zcoeff(j) == ref.zcoeff(j)
 
     @pytest.mark.parametrize(
         "q_order,z_window",
@@ -144,10 +155,13 @@ class TestTripleProduct:
     )
     def test_packed_rows_equal_list_rows(self, q_order, z_window):
         # past order 30, where the slots are wide and the coefficients large;
-        # (400, 8) is the battery's call, with 80-bit slots
-        assert _triple_product_rows(q_order, z_window) == list_triple_product_rows(
-            q_order, z_window
-        )
+        # (400, 8) is the battery's call, with 80-bit slots. Every stored row
+        # is compared, and so are the rows past them that z_window reads
+        rows = triple_product_rows(q_order)
+        ref = list_triple_product_rows(q_order)
+        reach = max(rows.margin, z_window) + 1
+        for j in range(-reach, reach + 1):
+            assert rows.zcoeff(j) == ref.zcoeff(j)
 
     def test_window_past_margin_reports_requested_window(self):
         # rows with |j| >= B are zero on both sides, so a window past the
