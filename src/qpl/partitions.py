@@ -191,10 +191,8 @@ def _gf_product(members: tuple[int, ...], mode: CountMode, order: int) -> QSerie
     """The product as one binomial_product term list.
 
     A division 1/(1 - γq^m) becomes (1 + γq^m)(1 + q^{2m})(1 + q^{4m})... up
-    to the order, since 1/(1 - x) = prod_{t>=0} (1 + x^{2^t}) and γ^2 = 1.
-    The capped numerators (1 - γ^{d+1} q^{(d+1)m}) follow every division, so
-    for γ = +1 every factor before them is (1 + q^e) and the kernel's
-    negative part stays 0 until then.
+    to the order, since 1/(1 - x) = prod_{t>=0} (1 + x^{2^t}) and γ^2 = 1;
+    a cap of d adds the numerators (1 - γ^{d+1} q^{(d+1)m}).
     """
     g = mode.gamma
     cap = mode.max_multiplicity

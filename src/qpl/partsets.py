@@ -124,10 +124,10 @@ class PartSet:
                 + list(range(k - ell, n + 1, k))
                 + list(range(k, n + 1, k))
             )
-        # finite prefix
+        # finite prefix: each progression stops at its s-th member or at n
         return sorted(
-            [m for i in range(1, self.s + 1) if (m := k * (i - 1) + ell) <= n]
-            + [m for i in range(1, self.s + 1) if (m := k * (i - 1) + k - ell) <= n]
+            list(range(ell, min(n, k * (self.s - 1) + ell) + 1, k))
+            + list(range(k - ell, min(n, k * (self.s - 1) + k - ell) + 1, k))
         )
 
     # display -------------------------------------------------------------------------

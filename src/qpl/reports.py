@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import OrderMismatchError
 from .series import QSeries
 
 
@@ -61,7 +62,15 @@ def compare_series(
     z_exponent: int | None = None,
 ) -> VerificationReport:
     """Exact coefficient comparison; a fail pinpoints the first bad exponent
-    (and the z-exponent of the row compared, when given)."""
+    (and the z-exponent of the row compared, when given).
+
+    Both sides must be truncated at ``order``: series of other orders would
+    be compared only up to the shorter one, so they raise OrderMismatchError.
+    """
+    if lhs.order != order or rhs.order != order:
+        raise OrderMismatchError(
+            f"compared orders {lhs.order} and {rhs.order} differ from the order {order}"
+        )
     if lhs.coeffs != rhs.coeffs:
         for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
             if a != b:

@@ -9,6 +9,7 @@ Coefficients are Python integers throughout, so results are exact at any size.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -98,23 +99,30 @@ class QSeries:
         return QSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
-        """Schoolbook Cauchy product; zero coefficients of the left factor are skipped.
+        """Cauchy product through one packed signed integer.
 
-        Each nonzero left coefficient a adds a·b to the tail out[i:] in one
-        C-level map (a = ±1 needs no multiplication), so a sparse left factor
-        such as an Euler product costs one pass per nonzero term.
+        The right factor is packed once as sum b_j·2^{jW} (see _pack); each
+        nonzero left coefficient a_i adds a_i times that integer shifted by
+        i slots, and the sum decodes once modulo 2^{W(order+1)}. Every
+        coefficient of the product is at most sum|a_i|·max|b_j| in absolute
+        value, so W is that bound's bit length plus a sign bit, in whole
+        bytes, and no slot of the result can overflow. A sparse left factor
+        such as an Euler product costs one big-int shift-add per nonzero term.
         """
         self._require_same_order(other)
-        out = [0] * (self.order + 1)
-        b = other.coeffs
+        bound = max(sum(map(abs, self.coeffs)), 1) * max(map(abs, other.coeffs))
+        slot_bytes = bound.bit_length() // 8 + 1
+        width = 8 * slot_bytes
+        b = _pack(other.coeffs, slot_bytes)
+        acc = 0
         for i, a in enumerate(self.coeffs):
             if a == 1:
-                out[i:] = map(add, out[i:], b)
+                acc += b << width * i
             elif a == -1:
-                out[i:] = map(sub, out[i:], b)
+                acc -= b << width * i
             elif a:
-                out[i:] = map(add, out[i:], map(mul, b, repeat(a)))
-        return QSeries(tuple(out))
+                acc += a * b << width * i
+        return QSeries(_decode(acc, slot_bytes, self.order))
 
     def reciprocal(self) -> "QSeries":
         """Multiplicative inverse at the same order.
@@ -374,18 +382,20 @@ def binomial_product(order: int, terms) -> QSeries:
     Every c must be +1 or -1 and every e at least 1; factors with e > order
     are 1 + O(q^{order+1}) and are skipped.
 
-    The partial product is kept as two non-negative Python ints, ``pos`` and
-    ``neg``, whose difference is its value: the coefficient of q^i sits in
-    bits [i·W, (i+1)·W) of each, for a slot width W from _slot_bytes. A
-    factor (1 + q^e) adds to each of pos and neg a copy of itself, masked to
-    the slots that stay within the order and shifted up by e slots; a factor
-    (1 - q^e) adds to each the masked, shifted copy of the other. Nothing is
-    subtracted, so no slot borrows, and neg stays 0, on which every
-    operation is free, until the first factor with c = -1. Slot i of pos
-    plus slot i of neg is coefficient i of the same partial product with
-    every c set to +1, so neither slot can pass the bound _slot_bytes proves
-    for the whole unsigned product, and no slot carries into its neighbour.
-    The two ints unpack once, in O(order), through to_bytes.
+    The partial product is one Python int x taken modulo M = 2^{W·(order+1)}.
+    q -> 2^W maps Z[q]/(q^{order+1}) onto Z/MZ as a ring homomorphism, so
+    partial products need no bound and no borrow rule: a factor with
+    e <= order//2 is one shift, one add or subtract and one reduction mod M.
+    Any two factors with e > order//2 multiply past q^order, so all of them
+    together are 1 + S, S the sum of their c·q^e, applied with one multiply
+    as x + (x mod q^{order-order//2})·S.
+
+    Only the final coefficients, and those of S, must fit a slot. Each final
+    coefficient has |c_i| <= U_i, the coefficient of the unsigned product
+    U = prod (1 + q^e) over the same exponents, and |S_e| counts at most the
+    factors at e, so |S_e| <= U_e too. _slot_bytes over the exponents and
+    one extra e = 0 (a factor 2) bounds 2·U, so every such value is below
+    2^{W-1} in absolute value: _pack packs S and _decode recovers every c_i.
     """
     if order < 0:
         raise ParameterError("order must be non-negative")
@@ -397,27 +407,28 @@ def binomial_product(order: int, terms) -> QSeries:
             raise ParameterError("binomial factor exponent must be >= 1")
         if e <= order:
             factors.append((c, e))
-    slot_bytes = _slot_bytes(order, [e for _, e in factors])
+    slot_bytes = _slot_bytes(order, [0] + [e for _, e in factors])
     width = 8 * slot_bytes
-    pos, neg = 1, 0
+    mask = (1 << width * (order + 1)) - 1
+    half = order // 2
+    x = 1
+    upper = [0] * (order + 1)
     for c, e in factors:
-        keep = (1 << width * (order + 1 - e)) - 1
-        shift = width * e
-        if c == 1:
-            pos += (pos & keep) << shift
-            neg += (neg & keep) << shift
+        if e > half:
+            upper[e] += c
+        elif c == 1:
+            x = (x + (x << width * e)) & mask
         else:
-            pos, neg = pos + ((neg & keep) << shift), neg + ((pos & keep) << shift)
-    coeffs = _unpack(pos, slot_bytes, order)
-    if neg:
-        coeffs = tuple(map(sub, coeffs, _unpack(neg, slot_bytes, order)))
-    return QSeries(coeffs)
+            x = (x - (x << width * e)) & mask
+    low = (1 << width * (order - half)) - 1
+    x += (x & low) * _pack(upper, slot_bytes)
+    return QSeries(_decode(x, slot_bytes, order))
 
 
 @dataclass(frozen=True, slots=True)
 class PackedZRows:
     """The z-rows -margin..margin of a two-variable series, each packed into
-    one int as in binomial_product and unpacked only when read."""
+    one int with a non-negative slot per q-exponent and unpacked only when read."""
 
     margin: int
     packed: tuple[int, ...]
@@ -482,19 +493,61 @@ def triple_product_rows(order: int) -> PackedZRows:
     return PackedZRows(b, tuple(rows), slot_bytes, n)
 
 
+def _pack(coeffs, slot_bytes: int) -> int:
+    """sum c_i·2^{8·slot_bytes·i} over ``coeffs``, for |c_i| < 2^{8·slot_bytes-1}.
+
+    Each slot is packed as c_i + 2^{W-1}, which lies in [0, 2^W), and the
+    offset is taken off the whole int at once.
+    """
+    count = len(coeffs)
+    half = 1 << 8 * slot_bytes - 1
+    shifted = map(add, coeffs, repeat(half))
+    if slot_bytes not in _FORMATS:
+        shifted = map(int.to_bytes, shifted, repeat(slot_bytes), repeat("little"))
+    data = _slots(slot_bytes, count).pack(*shifted)
+    return int.from_bytes(data, "little") - _offset(slot_bytes, count)
+
+
+def _decode(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
+    """The coefficients of q^0 .. q^order of ``packed`` read modulo
+    2^{W·(order+1)}, W = 8·slot_bytes, each known to satisfy |c| < 2^{W-1}.
+
+    Adding 2^{W-1} to every slot maps each coefficient into [0, 2^W), so the
+    offset sum, reduced mod 2^{W·(order+1)}, has no carries or borrows
+    between slots and unpacks slot by slot.
+    """
+    offset = _offset(slot_bytes, order + 1)
+    mask = (1 << 8 * slot_bytes * (order + 1)) - 1
+    half = 1 << 8 * slot_bytes - 1
+    return tuple(map(sub, _unpack((packed + offset) & mask, slot_bytes, order), repeat(half)))
+
+
+def _offset(slot_bytes: int, count: int) -> int:
+    """2^{W-1} in each of ``count`` slots of W = 8·slot_bytes bits."""
+    return int.from_bytes((bytes(slot_bytes - 1) + b"\x80") * count, "little")
+
+
 def _unpack(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
-    """The order + 1 slots of ``packed``, lowest first, each slot_bytes wide."""
-    length = slot_bytes * (order + 1)
-    data = packed.to_bytes(length, "little")
-    return tuple(
-        int.from_bytes(data[i : i + slot_bytes], "little")
-        for i in range(0, length, slot_bytes)
-    )
+    """The order + 1 unsigned slots of ``packed``, lowest first, each slot_bytes wide."""
+    data = packed.to_bytes(slot_bytes * (order + 1), "little")
+    slots = _slots(slot_bytes, order + 1).unpack(data)
+    if slot_bytes in _FORMATS:
+        return slots
+    return tuple(map(int.from_bytes, slots, repeat("little")))
 
 
-# t·sqrt(order) at which _slot_bytes evaluates its bound; the best t·sqrt(order)
-# of every term list of the order-400 battery lies between 0 and 1.4
-_SADDLE_STEPS = (0.25, 0.5, 0.75, 1.0, 1.5)
+# struct codes of the slot widths struct packs as integers; other widths go
+# through byte strings and int.to_bytes/int.from_bytes
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=32)
+def _slots(slot_bytes: int, count: int) -> struct.Struct:
+    """A little-endian struct of ``count`` unsigned slots of slot_bytes bytes."""
+    code = _FORMATS.get(slot_bytes)
+    if code:
+        return struct.Struct(f"<{count}{code}")
+    return struct.Struct("<" + f"{slot_bytes}s" * count)
 
 
 def _slot_bytes(order: int, exps) -> int:
@@ -506,16 +559,14 @@ def _slot_bytes(order: int, exps) -> int:
     U_i·x^order <= U_i·x^i <= U(x): each U_i is at most U(x)/x^order (the
     saddle-point bound of Apostol's proof that p(n) < e^{π·sqrt(2n/3)}). Any
     x gives a valid bound, so log2 U(x) - order·log2 x is evaluated in floats
-    at a few x = e^{-t} and the smallest kept; 2 bits cover the rounding of
-    the float sum, and the width is rounded up to whole bytes. At order 0
-    the steps are taken as if the order were 1, which is just another x.
+    at one x = e^{-t}, t = π·sqrt(len(exps)/12)/order, the saddle point of
+    the product of (1 + q^m) over m = 1..len(exps); 2 bits cover the rounding
+    of the float sum, and the width is rounded up to whole bytes. At order 0
+    t is taken as if the order were 1, which is just another x.
     """
     if not exps:
         return 1
-    root = max(order, 1) ** 0.5
-    best = min(
-        sum(math.log1p(math.exp(-t * e)) for e in exps) + order * t
-        for t in (s / root for s in _SADDLE_STEPS)
-    )
-    bits = int(best / math.log(2) + 2) + 1
+    t = math.pi * math.sqrt(len(exps) / 12) / max(order, 1)
+    log_u = sum(map(math.log1p, map(math.exp, map(mul, exps, repeat(-t)))))
+    bits = int((log_u + order * t) / math.log(2) + 2) + 1
     return -(-bits // 8)

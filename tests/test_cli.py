@@ -152,6 +152,19 @@ class TestPartitions:
             f"{n},{v}" for n, v in enumerate((1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10))
         ]
 
+    def test_huge_prefix_is_cheap(self, capsys, qpl_env):
+        # a child process with a timeout: a prefix loop over all s members
+        # took seconds at s = 10^7 and did not finish at 10^8
+        argv = ["partitions", "--set", "Js:3,1,100000000", "--n", "5", "--check"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpl.cli", *argv],
+            capture_output=True, text=True, timeout=30, env=qpl_env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # the members up to 5 are those of the 2-member prefix: 1, 2, 4, 5
+        small = argv[:2] + ["Js:3,1,2"] + argv[3:]
+        assert proc.stdout == run(capsys, *small)[1]
+
 
 class TestDivisors:
     def test_scan_row(self, capsys):
@@ -505,7 +518,10 @@ _partitions_argv = st.tuples(
     st.just("partitions"),
     st.just("--set"),
     st.sampled_from(
-        ["Jbar:3,1", "Jbar:4,2", "J:5,2", "J:4,0", "I:5,2", "Js:5,2,2", "mult:3", "set:1,3,7"]
+        [
+            "Jbar:3,1", "Jbar:4,2", "J:5,2", "J:4,0", "I:5,2", "Js:5,2,2",
+            "Js:3,1,100000000", "mult:3", "set:1,3,7",
+        ]
     ),
     st.just("--mode"), st.sampled_from(["unrestricted", "distinct", "at-most"]),
     st.just("--gamma"), st.sampled_from(["1", "-1"]),

@@ -6,7 +6,7 @@ from operator import add
 
 import pytest
 
-from qpl.errors import ParameterError
+from qpl.errors import OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams
 from qpl.identities import (
     battery,
@@ -290,6 +290,17 @@ class TestCompare:
         rep = compare_series("selftest", {}, 3, a, a)
         assert rep.passed and rep.mismatch is None
         assert rep.to_json_dict()["outcome"] == "pass"
+
+    def test_unequal_orders_raise(self):
+        # the right side agrees with 1 up to q^5 but has 7·q^7
+        longer = QSeries.from_coeffs([1, 0, 0, 0, 0, 0, 0, 7], 9)
+        with pytest.raises(OrderMismatchError):
+            compare_series("x", {}, 5, QSeries.one(5), longer)
+        with pytest.raises(OrderMismatchError):
+            compare_series("x", {}, 9, QSeries.one(5), longer)
+        # equal orders that disagree with the order argument
+        with pytest.raises(OrderMismatchError):
+            compare_series("x", {}, 4, QSeries.one(5), QSeries.one(5))
 
 
 class TestBattery:

@@ -65,6 +65,15 @@ class TestMembersUpto:
             assert members == [x for x in range(1, 61) if s.contains(x)]
             assert members == sorted(set(members))
 
+    def test_prefix_members_stop_at_n_and_at_s(self):
+        # n below, at and past the last prefix member, and s far past n
+        for k, ell in [(3, 1), (5, 2), (8, 3)]:
+            for s in (1, 2, 3, 10**9):
+                part_set = PartSet.finite_prefix(k, ell, s)
+                for n in range(0, 4 * k):
+                    members = part_set.members_upto(n)
+                    assert members == [x for x in range(1, n + 1) if part_set.contains(x)]
+
 
 class TestFamilies:
     def test_reflection_invariance(self):

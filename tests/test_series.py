@@ -1,6 +1,8 @@
 """Series kernel: exact arithmetic, truncation discipline, product expansions."""
 
+import struct
 from functools import cache
+from itertools import product
 from operator import neg
 
 import pytest
@@ -432,6 +434,7 @@ def test_binomial_product_edges():
 
 
 def test_slot_width_holds_the_unsigned_product(battery_terms):
+    # binomial_product passes one extra exponent 0, a factor 2, which buys the sign bit
     n = 3000  # the gf_count that divisors --check --n 3000 expands for Jbar(5, 1)
     terms = []
     for m in PartSet.with_multiples(5, 1).members_upto(n):
@@ -441,7 +444,7 @@ def test_slot_width_holds_the_unsigned_product(battery_terms):
             e *= 2
     for order, ts in battery_terms + [(n, terms)]:
         exps = [e for _, e in ts if e <= order]
-        assert 8 * _slot_bytes(order, exps) > unsigned_bits(order, ts)
+        assert 8 * _slot_bytes(order, [0] + exps) - 1 >= unsigned_bits(order, ts)
     # the triple-product rows: 2·prod (1 + q^m)^2, with e = 0 as the factor 2
     for order in (0, 1, 2, 30, 200, 400):
         ms = [m for m in range(1, order + 1) for _ in range(2)]
@@ -449,16 +452,118 @@ def test_slot_width_holds_the_unsigned_product(battery_terms):
         assert 8 * _slot_bytes(order, [0] + ms) > row_bits
 
 
-def test_narrow_slots_break_the_product(monkeypatch):
-    # one byte below the exact need, some slot overflows into its neighbour
-    order = 200
-    terms = [(c, m) for m in range(1, order + 1) for c in (-1, 1, 1)]
-    need = -(-unsigned_bits(order, terms) // 8)
-    expected = chained_product(order, terms)
-    assert binomial_product(order, terms) == expected
-    monkeypatch.setattr(qpl.series, "_slot_bytes", lambda order, exps: need - 1)
+def test_kernel_sizes_slots_for_twice_the_unsigned_product(monkeypatch):
+    # the bound has bits to spare, so a missing sign bit shows in no output:
+    # check that the kernel asks _slot_bytes for 2·U, the extra factor 1 + q^0
+    asked = []
+    real = qpl.series._slot_bytes
+
+    def recorded(order, exps):
+        asked.append(sorted(exps))
+        return real(order, exps)
+
+    monkeypatch.setattr(qpl.series, "_slot_bytes", recorded)
+    binomial_product(9, [(1, 2), (-1, 7), (1, 12), (-1, 2)])
+    binomial_product(0, [(1, 1)])
+    assert asked == [[0, 2, 2, 7], [0]]
+
+
+def product_at_width(monkeypatch, slot_bytes, order, terms):
+    """binomial_product with every slot slot_bytes wide; None when it cannot decode."""
+    monkeypatch.setattr(qpl.series, "_slot_bytes", lambda order, exps: slot_bytes)
     try:
-        narrow = binomial_product(order, terms)
-    except OverflowError:  # a carry out of the top slot does not unpack
-        narrow = None
-    assert narrow != expected
+        return binomial_product(order, terms)
+    except (OverflowError, struct.error):  # a value too wide for its slot
+        return None
+    finally:
+        monkeypatch.undo()
+
+
+def test_narrow_slots_break_the_unsigned_product(monkeypatch):
+    # all factors 1 + q^e: the product is U itself, and its largest
+    # coefficient needs its bits plus the sign bit
+    order = 200
+    terms = [(1, m) for m in range(1, order + 1) for _ in range(3)]
+    need = unsigned_bits(order, terms) // 8 + 1
+    expected = chained_product(order, terms)
+    assert product_at_width(monkeypatch, need, order, terms) == expected
+    assert product_at_width(monkeypatch, need - 1, order, terms) != expected
+
+
+def test_signed_slots_need_only_the_final_coefficients(monkeypatch):
+    # prod (1 + q^m)^3 (1 - q^m): partial products and U need 66 bits, the
+    # final coefficients 32; slots modulo 2^{W(order+1)} need only the latter
+    order = 200
+    terms = [(c, m) for m in range(1, order + 1) for c in (1, 1, 1, -1)]
+    expected = chained_product(order, terms)
+    need = max(map(abs, expected.coeffs)).bit_length() // 8 + 1
+    assert need < unsigned_bits(order, terms) // 8 + 1
+    assert product_at_width(monkeypatch, need, order, terms) == expected
+    assert product_at_width(monkeypatch, need - 1, order, terms) != expected
+    # prod (1 - q^{2m})(1 + q^m) = sum q^{m(m+1)/2}: one byte, though U needs 56 bits
+    terms = [(c, m) for m in range(1, order + 1) for c in (-1, 1, 1)]
+    assert product_at_width(monkeypatch, 1, order, terms) == chained_product(order, terms)
+
+
+@pytest.mark.parametrize("slot_bytes", [1, 2])
+def test_slot_edge_values_decode(monkeypatch, slot_bytes):
+    # (1 ± q)^m at order 1 is 1 ± m·q: m = 2^{W-1} - 1 is the widest value a
+    # W-bit slot holds, and one more breaks the decode
+    edge = (1 << 8 * slot_bytes - 1) - 1
+    for c in (1, -1):
+        terms = [(c, 1)] * edge
+        assert product_at_width(monkeypatch, slot_bytes, 1, terms) == chained_product(1, terms)
+    terms = [(1, 1)] * (edge + 1)
+    assert product_at_width(monkeypatch, slot_bytes, 1, terms) != chained_product(1, terms)
+
+
+def test_slot_edge_values_decode_from_the_shift_loop(monkeypatch):
+    # at order 2, (1 + q)^a (1 - q)^b = 1 + (a - b)·q + ((a - b)^2 - a - b)/2·q^2,
+    # and every factor stays in the shift loop: ±127 fill a one-byte slot
+    for a, b, coeffs in ((8255, 8128, (1, 127, -127)), (8128, 8255, (1, -127, -127))):
+        terms = [(1, 1)] * a + [(-1, 1)] * b
+        assert chained_product(2, terms).coeffs == coeffs
+        assert product_at_width(monkeypatch, 1, 2, terms).coeffs == coeffs
+    terms = [(1, 1)] * 8000 + [(-1, 1)] * 7873  # 1 + 127·q + 128·q^2
+    assert product_at_width(monkeypatch, 1, 2, terms) != chained_product(2, terms)
+
+
+def test_fold_boundary_matches_chain():
+    # factors at order//2 stay in the shift loop, those from order//2 + 1 on
+    # are folded into one multiply; duplicates above the half add up there
+    for order in range(10):
+        half = order // 2
+        exps = sorted({e for e in (half, half + 1, order) if 1 <= e <= order + 1})
+        options = [(c, e) for e in exps for c in (1, -1)]
+        for length in range(4):
+            for terms in product(options, repeat=length):
+                assert binomial_product(order, terms) == chained_product(order, terms)
+
+
+def test_mul_edge_cases_match_schoolbook():
+    cases = [
+        ((3, 0, -2, 5), (1, 1, 1, 1)),  # non-unit left coefficients
+        ((1, -1, 0, 2), (-4, -7, 0, -(10**20))),  # negative right coefficients
+        ((0, 0, 0), (5, -6, 7)),  # all-zero left factor
+        ((5, -6, 7), (0, 0, 0)),  # all-zero right factor
+        ((0, 0, 0), (0, 0, 0)),
+        ((4,), (-9,)),  # order 0
+        ((0,), (10**30,)),
+        ((-1,), (-(10**30),)),
+    ]
+    for left, right in cases:
+        a, b = QSeries(left), QSeries(right)
+        assert a * b == schoolbook_mul(a, b)
+        assert b * a == schoolbook_mul(b, a)
+
+
+@pytest.mark.parametrize("slot_bytes", [1, 2, 3, 4, 5, 8, 9, 16])
+def test_mul_decodes_the_widest_slot_values(slot_bytes):
+    # a unit left factor makes the slot width the bit length of max|b| plus
+    # the sign bit, so ±(2^{W-1} - 1) fill their slots exactly
+    edge = (1 << 8 * slot_bytes - 1) - 1
+    a = QSeries((1, 0, 0, 0))
+    b = QSeries((edge, -edge, 0, edge))
+    assert a * b == schoolbook_mul(a, b) == b
+    a = QSeries((0, -1, 0, 0))
+    assert a * b == schoolbook_mul(a, b)
