@@ -106,7 +106,8 @@ class QSeries:
         i slots, and the sum decodes once modulo 2^{W(order+1)}. Every
         coefficient of the product is at most sum|a_i|·max|b_j| in absolute
         value, so W is that bound's bit length plus a sign bit, in whole
-        bytes, and no slot of the result can overflow. A sparse left factor
+        bytes, and no slot of the result can overflow; sum|a_i| counts as at
+        least 1, so that every b_j fits a slot of the packed right factor. A sparse left factor
         such as an Euler product costs one big-int shift-add per nonzero term.
         """
         self._require_same_order(other)
