@@ -33,6 +33,7 @@ from .identities import (
     verify_triple_product,
 )
 from .partitions import (
+    RECURSION_KINDS,
     CountMode,
     bounded_mult_shift_identity,
     gf_count,
@@ -142,10 +143,8 @@ def _cmd_partitions(args) -> int:
         tables = {"gf": gf_count(part_set, mode, order).coeffs}
         if order <= oracle_bound():
             tables["oracle"] = oracle_table(part_set, mode, order).coeffs
-        try:
+        if part_set.kind in RECURSION_KINDS:
             tables["recursion"] = recursion_table(part_set, mode, order).coeffs
-        except ParameterError:
-            pass
         return _emit_check(tables, range(order + 1), args)
 
     route, provenance = {

@@ -51,9 +51,6 @@ class ModularParams:
     def is_interior(self) -> bool:
         return self.boundary_class is BoundaryClass.INTERIOR
 
-    def __repr__(self) -> str:
-        return f"ModularParams(k={self.k}, ell={self.ell})"
-
 
 def require_interior(params: ModularParams, context: str) -> None:
     """Raise ParameterError naming the violated hypothesis for boundary parameters."""

@@ -1,11 +1,11 @@
 """Partition counting three independent ways.
 
 Every counted family can be produced by (1) a brute-force dynamic program
-over the actual parts, (2) expansion of the product generating function, and
-(3) a recursion over modular figurate shifts, which divides one signed
-figurate series by another.  The three routes share no code beyond the
-part-set vocabulary, so exact agreement between them is a meaningful check.
-Each route returns a QSeries whose coefficient of q^n is the count of n.
+over the actual parts and (2) expansion of the product generating function;
+J and Jbar also by (3) one recursion rule over modular figurate shifts.  The
+routes share no code beyond the part-set vocabulary, so exact agreement
+between them is a meaningful check.  Each returns a QSeries whose
+coefficient of q^n is the count of n.
 
 Counting modes: parts may be unrestricted, distinct, or capped at d copies;
 the length-signed variant weights a partition by (-1)^length.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator
 
 from .errors import NotInvertibleError, OracleBoundError, ParameterError
@@ -228,10 +228,14 @@ def quotient_series(
 # Route 3: recursions over figurate shifts
 # --------------------------------------------------------------------------
 #
-# Write T(P, s) = sum_j s^j q^{M(j)} for signed_figurate_series(P, s, order).
-# Each recursion below is the quotient of two such series; the triple product
-# identity turns both into products, and matching coefficients of
-# x·den = num gives the paper's shift recursion.
+# Write T(P, s) = sum_j s^j q^{M(j)} for signed_figurate_series(P, s, order),
+# E = T((3,1), -1) and P(t, s) = prod_{m in F} (1 + s·q^{tm}) for a family F.
+# The specialized triple product T(P, ±1) = E(q^k)·prod_{m in J} (1 ± q^m) gives
+#   J:     P(t, s) = T(P, s)(q^t)/E(q^{kt}),
+#   Jbar:  P(t, -1) = T(P, -1)(q^t),  P(t, +1) = T(P, -1)(q^{2t})/T(P, -1)(q^t).
+# Weighting each part by γ, distinct counts are P(1, γ), unrestricted ones
+# 1/P(1, -γ), at most d copies P(d+1, -γ^{d+1})/P(1, -γ); matching coefficients
+# of x·den = num gives the paper's shift recursion.
 
 
 def _figurate_quotient(num: QSeries, den: QSeries) -> QSeries:
@@ -259,12 +263,39 @@ def _figurate_quotient(num: QSeries, den: QSeries) -> QSeries:
     return QSeries(tuple(vals))
 
 
-def recursive_count_jbar(params: ModularParams, order: int) -> QSeries:
-    """p(n; residues-with-multiples) by the Euler-style recursion
-    p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j)), i.e. p = 1/T(P, -1)."""
-    require_interior(params, "the unrestricted-count recursion")
-    den = signed_figurate_series(params, -1, order)
-    return _figurate_quotient(QSeries.one(order), den)
+def _count_by_rule(family, gamma: int, cap: int | None, order: int) -> QSeries:
+    """The mode rule above, with family(t, s) = P(t, s) as (numerator,
+    denominator) lists of factors (P, s, t), each T(P, s)(q^t); for J and Jbar
+    no factor lands on both sides.  The first numerator factor (else 1) times
+    the rest is divided by one denominator factor at a time, as their product
+    is far denser.  Calls no binomial_product, gf_count, reciprocal or oracle."""
+    if gamma not in (1, -1):
+        raise ParameterError("gamma must be +1 or -1")
+    if cap is not None and cap < 1:
+        raise ParameterError("multiplicity cap d must be >= 1")
+    # P(1, γ) for distinct counts, else 1/P(1, -γ) times P(d+1, -γ^{d+1}) if capped
+    num, den = family(1, gamma) if cap == 1 else family(1, -gamma)[::-1]
+    if cap not in (None, 1):
+        top_num, top_den = family(cap + 1, -(gamma ** (cap + 1)))
+        num, den = top_num + num, den + top_den
+    nums = [signed_figurate_series(p, s, order).dilate(t) for p, s, t in num]
+    x = reduce(QSeries.__mul__, nums) if nums else QSeries.one(order)
+    for p, s, t in den:
+        x = _figurate_quotient(x, signed_figurate_series(p, s, order).dilate(t))
+    return x
+
+
+def recursive_count_jbar(
+    params: ModularParams, order: int, *, gamma: int = 1, cap: int | None = None
+) -> QSeries:
+    """Jbar counts in the mode (γ, cap) by the rule above; by default the
+    Euler-style p(n) = sum_{j != 0} (-1)^{j-1} p(n - M(j)), i.e. p = 1/T(P, -1)."""
+    require_interior(params, "the Jbar recursion")
+    return _count_by_rule(
+        lambda t, s: ([(params, -1, t)], []) if s == -1
+        else ([(params, -1, 2 * t)], [(params, -1, t)]),
+        gamma, cap, order,
+    )
 
 
 def recursive_count_quotient(
@@ -284,81 +315,48 @@ def recursive_count_quotient(
     )
 
 
-def recursive_count_distinct_j(
-    params: ModularParams, gamma: int, order: int
+def recursive_count_j(
+    params: ModularParams, gamma: int, order: int, *, cap: int | None = None
 ) -> QSeries:
-    """Distinct-part counts on the plus/minus family (signed when γ = -1):
+    """J counts in the mode (γ, cap) by the rule above; by default unrestricted,
+    x = T((3,1), -1)(q^k)/T(P, -γ) with ω the general pentagonal numbers:
 
-        x(n) = sum_{j != 0} (-1)^{j-1} x(n - k·ω(j))  [+ γ^i when n = M(i)]
-
-    with ω the general pentagonal numbers, i.e. x = T(P, γ)/T((3,1), -1)(q^k).
+        x(n) = sum_{j != 0} -(-γ)^j x(n - M(j))  [+ (-1)^i when n = k·ω(i)].
     """
-    require_interior(params, "the distinct-count recursion")
-    if gamma not in (1, -1):
-        raise ParameterError("gamma must be +1 or -1")
-    return _figurate_quotient(
-        signed_figurate_series(params, gamma, order),
-        signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
+    require_interior(params, "the J recursion")
+    euler = ModularParams(3, 1)
+    return _count_by_rule(
+        lambda t, s: ([(params, s, t)], [(euler, -1, params.k * t)]), gamma, cap, order
     )
 
 
-def recursive_count_j(params: ModularParams, gamma: int, order: int) -> QSeries:
-    """Unrestricted counts on the plus/minus family (signed when γ = -1):
+def recursive_count_distinct_j(params: ModularParams, gamma: int, order: int) -> QSeries:
+    """Distinct-part counts on the plus/minus family (signed when γ = -1),
+    x = T(P, γ)/T((3,1), -1)(q^k):
 
-        x(n) = sum_{j != 0} -(-γ)^j x(n - M(j))  [+ (-1)^i when n = k·ω(i)],
-
-    i.e. x = T((3,1), -1)(q^k)/T(P, -γ).
+        x(n) = sum_{j != 0} (-1)^{j-1} x(n - k·ω(j))  [+ γ^i when n = M(i)].
     """
-    require_interior(params, "the unrestricted-J recursion")
-    if gamma not in (1, -1):
-        raise ParameterError("gamma must be +1 or -1")
-    return _figurate_quotient(
-        signed_figurate_series(ModularParams(3, 1), -1, order).dilate(params.k),
-        signed_figurate_series(params, -gamma, order),
-    )
+    return recursive_count_j(params, gamma, order, cap=1)
 
 
-def recursive_count_bounded_jbar(
-    params: ModularParams, d: int, order: int
-) -> QSeries:
-    """Counts with every part used at most d times, on residues-with-multiples:
+def recursive_count_bounded_jbar(params: ModularParams, d: int, order: int) -> QSeries:
+    """Counts with every part used at most d times, on residues-with-multiples,
+    x = T(P, -1)(q^{d+1})/T(P, -1):
 
-        x(n) = sum_{j != 0} (-1)^{j-1} x(n - M(j))  [+ (-1)^i when n = (d+1)·M(i)],
-
-    i.e. x = T(P, -1)(q^{d+1})/T(P, -1).
+        x(n) = sum_{j != 0} (-1)^{j-1} x(n - M(j))  [+ (-1)^i when n = (d+1)·M(i)].
     """
-    require_interior(params, "the bounded-multiplicity recursion")
-    if d < 1:
-        raise ParameterError("multiplicity cap d must be >= 1")
-    den = signed_figurate_series(params, -1, order)
-    return _figurate_quotient(den.dilate(d + 1), den)
+    return recursive_count_jbar(params, order, cap=d)
+
+
+RECURSION_KINDS = ("J", "Jbar")  # the part-set kinds route 3 counts, in every mode
 
 
 def recursion_table(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
-    """The recursion route for a part set and counting mode.
-
-    Raises ParameterError for the combinations no recursion covers.
-    """
-    params = part_set.params
-    if part_set.kind == "Jbar":
-        if mode.max_multiplicity is None and not mode.length_signed:
-            return recursive_count_jbar(params, order)
-        if mode.max_multiplicity is not None and not mode.length_signed:
-            return recursive_count_bounded_jbar(params, mode.max_multiplicity, order)
-        raise ParameterError(
-            "recursions on Jbar cover unrestricted and at-most-d plain counts"
-        )
-    if part_set.kind == "J":
-        if mode.max_multiplicity is None:
-            return recursive_count_j(params, mode.gamma, order)
-        if mode.max_multiplicity == 1:
-            return recursive_count_distinct_j(params, mode.gamma, order)
-        raise ParameterError(
-            "recursions on J cover unrestricted and distinct counts (either sign)"
-        )
-    raise ParameterError(
-        f"no recursion is wired for part sets of kind {part_set.kind!r}"
-    )
+    """The recursion route; raises ParameterError outside RECURSION_KINDS."""
+    if part_set.kind not in RECURSION_KINDS:
+        raise ParameterError(f"no recursion is wired for part sets of kind {part_set.kind!r}")
+    count = recursive_count_j if part_set.kind == "J" else recursive_count_jbar
+    return count(part_set.params, order=order, gamma=mode.gamma, cap=mode.max_multiplicity)
 
 
 # --------------------------------------------------------------------------

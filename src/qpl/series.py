@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 
 from .errors import NotInvertibleError, OrderMismatchError, ParameterError
 
@@ -41,8 +41,13 @@ class QSeries:
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> "QSeries":
-        """Build a series from an iterable, padding or truncating to ``order``."""
-        c = [int(x) for x in coeffs]
+        """Build a series from integers, padding or truncating to ``order``."""
+        c = []
+        for x in coeffs:
+            try:
+                c.append(int(index(x)))
+            except TypeError:
+                raise ParameterError(f"series coefficients must be integers, got {x!r}") from None
         if order is not None:
             if order < 0:
                 raise ParameterError("order must be non-negative")

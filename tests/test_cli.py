@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import qpl.cli
 import qpl.divisors
+import qpl.partitions
 from qpl.cli import main
+from qpl.errors import ParameterError
 
 IDENTITIES = (
     "triple_product", "specialized", "berger", "hermite", "boundary_half",
@@ -88,6 +90,36 @@ class TestPartitions:
         lines = out.splitlines()
         assert lines[0] == "n,gf,oracle,recursion,agree"
         assert all(line.endswith(",yes") for line in lines[1:])
+
+    def test_check_does_not_swallow_a_recursion_error(self, capsys, monkeypatch):
+        # --check once caught every ParameterError of route 3 and dropped its column
+        def broken(*args, **kwargs):
+            raise ParameterError("broken recursion")
+
+        monkeypatch.setattr(qpl.partitions, "recursive_count_j", broken)
+        code, out, err = run(capsys, "partitions", "--set", "J:5,2", "--n", "20", "--check")
+        assert (code, out, err) == (2, "", "qpl: error: broken recursion\n")
+
+    @pytest.mark.parametrize("part_set", ("I:4,1", "mult:3", "Js:3,1,2", "set:1,3,7"))
+    def test_check_has_a_recursion_column_only_for_j_and_jbar(self, capsys, part_set):
+        code, out, _ = run(capsys, "partitions", "--set", part_set, "--n", "10", "--check")
+        assert code == 0
+        assert out.splitlines()[0] == "n,gf,oracle,agree"
+
+    @pytest.mark.parametrize("part_set", ("J:4,1", "Jbar:5,2"))
+    @pytest.mark.parametrize("gamma", ("1", "-1"))
+    @pytest.mark.parametrize(
+        "mode", (("unrestricted",), ("distinct",), ("at-most", "--d", "2"), ("at-most", "--d", "7"))
+    )
+    def test_check_has_three_agreeing_routes_in_every_mode(self, capsys, part_set, gamma, mode):
+        code, out, _ = run(
+            capsys, "partitions", "--set", part_set, "--mode", *mode, "--gamma", gamma,
+            "--n", "40", "--check",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,gf,oracle,recursion,agree"
+        assert len(lines) == 42 and all(line.endswith(",yes") for line in lines[1:])
 
     def test_oracle_bound_respected(self, capsys, monkeypatch):
         code, _, err = run(

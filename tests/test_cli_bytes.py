@@ -8,7 +8,13 @@ printed byte fails here.  `divisors --check --format json` printed CSV until
 the two cross-checks shared one emitter, so its digest is of the first JSON
 it printed, whose rows tests/test_cli.py checks against the CSV rows.  The
 `partitions --format json` rows, which print each route's provenance, were
-taken from the code before the routes returned plain series.
+taken from the code before the routes returned plain series.  Two rows gained
+the recursion route when one triple-product rule replaced the hand-derived
+quotients: the J:4,1 at-most-2 signed `--method recursion` row is pinned to
+the digest the code before that change printed for the same line with
+`--method gf` (a CSV table carries no provenance), and the signed Jbar:5,2
+`--check` row to its first output with three columns, every row of which
+says `yes`.
 
 The order-400 battery is the benchmark's headline run; its digest is read
 from perfbench/golden.json rather than copied here, so tier-1 and the
@@ -60,6 +66,13 @@ INVOCATIONS = (
     + [
         ("partitions", "--set", "Jbar:3,1", "--n", "30", "--method", m, "--format", "json")
         for m in ("oracle", "gf", "recursion")
+    ]
+    + [
+        (
+            "partitions", "--set", "J:4,1", "--mode", "at-most", "--d", "2", "--gamma", "-1",
+            "--n", "30", "--method", "recursion",
+        ),
+        ("partitions", "--set", "Jbar:5,2", "--gamma", "-1", "--n", "30", "--check"),
     ]
     + [
         (*_DIVISORS, *tail)
@@ -115,6 +128,8 @@ DIGESTS = {
     "partitions --set Jbar:3,1 --n 30 --method oracle --format json": (0, "9d9e64e11a2f29bb9de8b82d26e7282f7174daa626322584b7cf6ec724217a6e"),
     "partitions --set Jbar:3,1 --n 30 --method gf --format json": (0, "a6bae8d0e9c540b704427090e0dc19b479a8ea42e0ed15b42a163b5796873cb9"),
     "partitions --set Jbar:3,1 --n 30 --method recursion --format json": (0, "7de1e865b2e1911a6f7d440a2862e1922c9e8e1a34fad177a1c06ee09c4daa01"),
+    "partitions --set J:4,1 --mode at-most --d 2 --gamma -1 --n 30 --method recursion": (0, "23daad1837baa8bf4bd173bc1bb05cbcf54b5fd976c7e40c7d368e2f1d8664ad"),
+    "partitions --set Jbar:5,2 --gamma -1 --n 30 --check": (0, "f956576d3e38fd673bfff7db64c391131866082c5f854cd9f7dc60fe11e4a82c"),
     "divisors --k 5 --ell 2 --n 40 --method scan": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
     "divisors --k 5 --ell 2 --n 40 --method recursion": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),
     "divisors --k 5 --ell 2 --n 40 --method kim": (0, "dada021cf782be2a11fab49f539ec494578a46f9a18b5176185ebb7f507f27e0"),

@@ -41,6 +41,9 @@ class TestParams:
                 if p.is_interior:
                     assert k >= 3 and 0 < ell < k and 2 * ell != k
 
+    def test_repr(self):
+        assert repr(ModularParams(3, 1)) == "ModularParams(k=3, ell=1)"
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             ModularParams(0, 0)

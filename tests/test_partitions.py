@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qpl.partitions as partitions_module
+import qpl.series as series_module
 from qpl.divisors import recursive_divisor_sums
 from qpl.errors import NotInvertibleError, OracleBoundError, OrderMismatchError, ParameterError
-from qpl.figurate import ModularParams
+from qpl.figurate import ModularParams, signed_figurate_series
 from qpl.identities import interior_grid
 from qpl.partitions import (
     CountMode,
@@ -440,10 +442,20 @@ class TestThreeWayAgreement:
             ("J", SIGNED_UNRESTRICTED),
             ("J", DISTINCT),
             ("J", SIGNED_DISTINCT),
+            ("Jbar", SIGNED_UNRESTRICTED),
+            ("Jbar", at_most(1, True)),
+            ("Jbar", at_most(2, True)),
+            ("Jbar", at_most(3, True)),
+            ("J", at_most(2)),
+            ("J", at_most(2, True)),
+            ("J", at_most(3)),
+            ("J", at_most(3, True)),
         ],
         ids=[
             "Jbar", "Jbar-atmost1", "Jbar-atmost2", "Jbar-atmost3",
             "J", "J-signed", "J-distinct", "J-distinct-signed",
+            "Jbar-signed", "Jbar-atmost1-signed", "Jbar-atmost2-signed", "Jbar-atmost3-signed",
+            "J-atmost2", "J-atmost2-signed", "J-atmost3", "J-atmost3-signed",
         ],
     )
     def test_all_routes_agree_to_300_on_the_grid(self, monkeypatch, kind, mode):
@@ -454,6 +466,19 @@ class TestThreeWayAgreement:
             oracle = oracle_table(part_set, mode, 300)
             assert oracle == gf_count(part_set, mode, 300)
             assert oracle == recursion_table(part_set, mode, 300)
+
+    @pytest.mark.parametrize("cap", [5, 10**6])
+    @pytest.mark.parametrize("signed", [False, True], ids=["plain", "signed"])
+    @pytest.mark.parametrize("kind", ["J", "Jbar"])
+    def test_large_caps_agree(self, kind, signed, cap):
+        # a cap past the order counts as unrestricted: q^{(cap+1)m} never fits
+        family = PartSet.with_multiples if kind == "Jbar" else PartSet.plus_minus
+        mode = at_most(cap, signed)
+        for params in interior_grid(3, 8):
+            part_set = family(params.k, params.ell)
+            oracle = oracle_table(part_set, mode, 60)
+            assert oracle == gf_count(part_set, mode, 60)
+            assert oracle == recursion_table(part_set, mode, 60)
 
 
 class TestShiftIdentities:
@@ -487,6 +512,24 @@ def quotient_operands(draw, max_order=40):
     return QSeries(tuple(num)), QSeries((1, *den))
 
 
+def factor(params, sign, dilation, order=60):
+    """T(params, sign)(q^dilation), one factor of the route-3 rule."""
+    return signed_figurate_series(params, sign, order).dilate(dilation)
+
+
+@pytest.fixture
+def quotient_calls(monkeypatch):
+    """(num, den) of every long division route 3 makes while the test runs."""
+    calls = []
+
+    def recording(num, den):
+        calls.append((num, den))
+        return _figurate_quotient(num, den)
+
+    monkeypatch.setattr(partitions_module, "_figurate_quotient", recording)
+    return calls
+
+
 class TestFigurateQuotient:
     @given(quotient_operands())
     def test_times_divisor_gives_numerator(self, operands):
@@ -501,20 +544,63 @@ class TestFigurateQuotient:
             _figurate_quotient(QSeries.one(3), QSeries.one(4))
 
     def test_no_recursion_inverts_a_series(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("the recursion route must not call QSeries.reciprocal")
+        # route 3 must run with routes 1 and 2 and the reciprocal all refused
+        families = [
+            (family(5, 2), CountMode(cap, signed))
+            for family in (PartSet.with_multiples, PartSet.plus_minus)
+            for cap in (None, 1, 2, 3)
+            for signed in (False, True)
+        ]
+        expected = [gf_count(part_set, mode, 40).coeffs for part_set, mode in families]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the recursion route must not call another route")
 
         monkeypatch.setattr(QSeries, "reciprocal", refuse)
+        monkeypatch.setattr(series_module, "binomial_product", refuse)
+        monkeypatch.setattr(partitions_module, "binomial_product", refuse)
+        monkeypatch.setattr(partitions_module, "_gf_product", refuse)
+        monkeypatch.setattr(partitions_module, "_oracle_pass", refuse)
         for recursion in RECURSIONS:
             recursion(ModularParams(5, 2), 40)
-        families = [
-            (PartSet.with_multiples(5, 2), UNRESTRICTED),
-            (PartSet.with_multiples(5, 2), at_most(3)),
-            (PartSet.plus_minus(5, 2), UNRESTRICTED),
-            (PartSet.plus_minus(5, 2), SIGNED_UNRESTRICTED),
-            (PartSet.plus_minus(5, 2), DISTINCT),
-            (PartSet.plus_minus(5, 2), SIGNED_DISTINCT),
+        for (part_set, mode), gf in zip(families, expected):
+            assert recursion_table(part_set, mode, 40).coeffs == gf
+
+    @pytest.mark.parametrize("k,ell", [(3, 1), (5, 2), (8, 3)])
+    def test_routed_modes_divide_once_and_never_multiply(
+        self, monkeypatch, quotient_calls, k, ell
+    ):
+        # the eight modes that had a hand-derived quotient keep its arithmetic:
+        # one long division of the same two series, and no product
+        p, euler = ModularParams(k, ell), ModularParams(3, 1)
+        jbar, j = PartSet.with_multiples(k, ell), PartSet.plus_minus(k, ell)
+        cases = [
+            (jbar, UNRESTRICTED, QSeries.one(60), factor(p, -1, 1)),
+            *[(jbar, at_most(d), factor(p, -1, d + 1), factor(p, -1, 1)) for d in (1, 2, 3)],
+            (j, UNRESTRICTED, factor(euler, -1, k), factor(p, -1, 1)),
+            (j, SIGNED_UNRESTRICTED, factor(euler, -1, k), factor(p, 1, 1)),
+            (j, DISTINCT, factor(p, 1, 1), factor(euler, -1, k)),
+            (j, SIGNED_DISTINCT, factor(p, -1, 1), factor(euler, -1, k)),
         ]
-        for part_set, mode in families:
-            table = recursion_table(part_set, mode, 40)
-            assert table.coeffs == gf_count(part_set, mode, 40).coeffs
+        expected = [gf_count(part_set, mode, 60) for part_set, mode, _, _ in cases]
+
+        def refuse(self, other):
+            raise AssertionError("a routed mode must not multiply series")
+
+        monkeypatch.setattr(QSeries, "__mul__", refuse)
+        for (part_set, mode, num, den), gf in zip(cases, expected):
+            quotient_calls.clear()
+            assert recursion_table(part_set, mode, 60) == gf
+            assert quotient_calls == [(num, den)]
+
+    def test_denominators_divide_one_factor_at_a_time(self, quotient_calls):
+        # their product is far denser than each factor, and so slower to divide by
+        p, euler = ModularParams(4, 1), ModularParams(3, 1)
+        cases = [
+            (PartSet.plus_minus(4, 1), at_most(2), [factor(p, -1, 1), factor(euler, -1, 12)]),
+            (PartSet.with_multiples(4, 1), at_most(2, True), [factor(p, -1, 2), factor(p, -1, 3)]),
+        ]
+        for part_set, mode, dens in cases:
+            quotient_calls.clear()
+            assert recursion_table(part_set, mode, 60) == gf_count(part_set, mode, 60)
+            assert [den for _, den in quotient_calls] == dens

@@ -1,6 +1,8 @@
 """Series kernel: exact arithmetic, truncation discipline, product expansions."""
 
+import re
 import struct
+from fractions import Fraction
 from functools import cache
 from itertools import product
 from operator import neg
@@ -42,6 +44,18 @@ def euler_product(order):
     for m in range(1, order + 1):
         acc = acc * (QSeries.one(order) - QSeries.monomial(m, order))
     return acc
+
+
+class TestFromCoeffs:
+    def test_integers_and_bools_pass(self):
+        assert QSeries.from_coeffs([True, 2, False, -3], order=4).coeffs == (1, 2, 0, -3, 0)
+        assert type(QSeries.from_coeffs([True]).coeffs[0]) is int
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, "2", None, Fraction(1, 2)], ids=repr)
+    def test_non_integers_are_refused_by_name(self, bad):
+        # they were once truncated silently: [1.9, 2.5] gave 1 + 2q
+        with pytest.raises(ParameterError, match=re.escape(repr(bad))):
+            QSeries.from_coeffs([1, bad])
 
 
 class TestMul:
