@@ -73,12 +73,15 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit_table(args, payload, header: list[str], rows: list[list]) -> None:
-    """Emit the JSON payload or the CSV header and rows, as --format asks."""
+def _emit_table(args, payload, header: list[str], rows) -> None:
+    """Emit the JSON payload or the CSV header and rows, as --format asks.
+
+    payload and rows are functions, so only the format asked for is built.
+    """
     if args.format == "json":
-        _emit(_json_text(payload), args.output)
+        _emit(_json_text(payload()), args.output)
     else:
-        _emit(_csv_text(header, rows), args.output)
+        _emit(_csv_text(header, rows()), args.output)
 
 
 def _emit_check(tables: dict[str, tuple[int, ...]], ns: range, args) -> int:
@@ -87,17 +90,16 @@ def _emit_check(tables: dict[str, tuple[int, ...]], ns: range, args) -> int:
     methods = sorted(tables)
     rows = [(n, [tables[m][n] for m in methods]) for n in ns]
     oks = [len(set(vals)) == 1 for _, vals in rows]
-    payload = {
-        "schema": 1,
-        "methods": methods,
-        "rows": [{"n": n, **{m: str(v) for m, v in zip(methods, vals)}} for n, vals in rows],
-        "agree": all(oks),
-    }
     _emit_table(
         args,
-        payload,
+        lambda: {
+            "schema": 1,
+            "methods": methods,
+            "rows": [{"n": n, **{m: str(v) for m, v in zip(methods, vals)}} for n, vals in rows],
+            "agree": all(oks),
+        },
         ["n", *methods, "agree"],
-        [[n, *vals, "yes" if ok else "NO"] for (n, vals), ok in zip(rows, oks)],
+        lambda: [[n, *vals, "yes" if ok else "NO"] for (n, vals), ok in zip(rows, oks)],
     )
     return EXIT_OK if all(oks) else EXIT_FAIL
 
@@ -110,8 +112,12 @@ def _emit_check(tables: dict[str, tuple[int, ...]], ns: range, args) -> int:
 def _cmd_figurate(args) -> int:
     params = ModularParams(args.k, args.ell)
     rows = figurate_enumerate(params, args.bound)
-    payload = {"schema": 1, "rows": [{"j": j, "value": v} for j, v in rows]}
-    _emit_table(args, payload, ["j", "value"], [[j, v] for j, v in rows])
+    _emit_table(
+        args,
+        lambda: {"schema": 1, "rows": [{"j": j, "value": v} for j, v in rows]},
+        ["j", "value"],
+        lambda: [[j, v] for j, v in rows],
+    )
     return EXIT_OK
 
 
@@ -153,8 +159,12 @@ def _cmd_partitions(args) -> int:
         "recursion": (recursion_table, "recursion"),
     }[args.method]
     values = route(part_set, mode, order).coeffs
-    payload = {"schema": 1, "provenance": provenance, "values": [str(v) for v in values]}
-    _emit_table(args, payload, ["n", "value"], [[n, v] for n, v in enumerate(values)])
+    _emit_table(
+        args,
+        lambda: {"schema": 1, "provenance": provenance, "values": [str(v) for v in values]},
+        ["n", "value"],
+        lambda: [[n, v] for n, v in enumerate(values)],
+    )
     return EXIT_OK
 
 
@@ -172,8 +182,12 @@ def _cmd_divisors(args) -> int:
         tables = {m: divisor_sums(params, order, m).coeffs for m in DIVISOR_METHODS}
         return _emit_check(tables, range(1, order + 1), args)
     values = divisor_sums(params, order, args.method).coeffs[1:]
-    payload = {"schema": 1, "values": [str(v) for v in values]}
-    _emit_table(args, payload, ["n", "value"], [[n + 1, v] for n, v in enumerate(values)])
+    _emit_table(
+        args,
+        lambda: {"schema": 1, "values": [str(v) for v in values]},
+        ["n", "value"],
+        lambda: [[n + 1, v] for n, v in enumerate(values)],
+    )
     return EXIT_OK
 
 

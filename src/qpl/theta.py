@@ -5,11 +5,20 @@ for |q| < 1 and z != 0.  Terms are summed in the symmetric pairs n = -m and
 n = m+1, which share the q-exponent m(m+1)/2; that keeps the cancellation at
 z = -1 exact and gives a clean geometric tail bound.  All fractional powers
 (q^{-1/8}, q^{1/2}, z^{1/2}) take the principal branch.
+
+The calls at one point repeat most of their work, and the module shares it
+without changing a float operation: each exact (q, z, tol) is summed once,
+each pair count is found once per (|q|, max(|z|, 1/|z|), tol), each q keeps
+one table of q^{m(m+1)/2}, and each series computes every z^n once.  The
+memos are small LRU caches.  A series or a q table is memoized only when ==
+on its key implies identical bits, so never by ThetaPoint equality and never
+when a component of q or z is ±0.0.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +37,11 @@ _TWO_PI_I = 2j * math.pi
 # Cap on the pairs one series may sum: |q| = 0.99999 at |z| = 1 needs 69 314.
 MAX_PAIRS = 100_000
 
+# CPython computes complex ** n for an integer |n| <= 100 by binary powering,
+# and z ** -m there as (1+0j) / z ** m; larger exponents take the polar route.
+_POWI_MAX = 100
+_ONE = 1 + 0j
+
 
 @dataclass(frozen=True)
 class ThetaPoint:
@@ -43,12 +57,7 @@ class ThetaPoint:
     tau: complex | None = None
 
     def __post_init__(self) -> None:
-        if not abs(self.q) < 1:  # also rejects NaN
-            raise ValueError(f"|q| must be < 1, got |q| = {abs(self.q)}")
-        if not cmath.isfinite(self.z):
-            raise ValueError(f"z must be finite, got {self.z}")
-        if self.z == 0:
-            raise ValueError("z must be nonzero")
+        _check_qz(self.q, self.z)
 
     @classmethod
     def from_qz(cls, q: complex, z: complex) -> "ThetaPoint":
@@ -65,22 +74,35 @@ class ThetaPoint:
         )
 
 
-def _moved_point(point: ThetaPoint, q: complex, z: complex) -> ThetaPoint:
-    """The point (q, z), where z was computed from point.z by a power of point.q.
+def _check_qz(q, z) -> None:
+    if not abs(q) < 1:  # also rejects NaN
+        raise ValueError(f"|q| must be < 1, got |q| = {abs(q)}")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
+    if z == 0:
+        raise ValueError("z must be nonzero")
 
-    For nonzero point.q a z of 0 can only be an underflow, and is reported
-    as the OverflowError of a float range failure.  At point.q = 0 it is the
-    exact q^ell·z of substituted_point (the other callers refuse q = 0
-    first), and the ValueError names that cause, not point.z, which is
-    nonzero.
+
+def _qz(q, z) -> tuple[complex, complex]:
+    """The q and z of ThetaPoint.from_qz(q, z), checked alike, building no point."""
+    q, z = complex(q), complex(z)
+    _check_qz(q, z)
+    return q, z
+
+
+def _moved_point(q0, z0, q: complex, z: complex) -> tuple[complex, complex]:
+    """The point (q, z) as a pair, where z was computed from z0 by a power of q0.
+
+    For nonzero q0 a z of 0 can only be an underflow, and is reported as the
+    OverflowError of a float range failure.  At q0 = 0 it is the exact
+    q^ell·z of substituted_point (the other callers refuse q = 0 first), and
+    the ValueError names that cause, not z0, which is nonzero.
     """
     if z == 0:
-        if point.q == 0:
+        if q0 == 0:
             raise ValueError("q^ell·z is 0 at q = 0")
-        raise OverflowError(
-            f"z underflows to 0 at |q| = {abs(point.q)}, |z| = {abs(point.z)}"
-        )
-    return ThetaPoint.from_qz(q, z)
+        raise OverflowError(f"z underflows to 0 at |q| = {abs(q0)}, |z| = {abs(z0)}")
+    return _qz(q, z)
 
 
 def _check_tol(tol: float) -> None:
@@ -146,6 +168,84 @@ def _pairs_needed(abs_q: float, big_z: float, tol: float) -> int:
     )
 
 
+# T(z|q) and T(-z|q) share a pair count, and so do variants c and d.
+_pair_count = functools.lru_cache(maxsize=8)(_pairs_needed)
+
+
+def _exact(x) -> bool:
+    """Whether x == y implies identical bits: a complex with no zero component.
+
+    0.0 == -0.0, and both hash alike, while a power of 2 - 0j and of 2 + 0j
+    can differ in sign.
+    """
+    return type(x) is complex and x.real != 0 and x.imag != 0
+
+
+@functools.lru_cache(maxsize=2)
+def _q_table(q: complex) -> list[tuple[complex, ...]]:
+    """A one-slot holder of the q ** (m(m+1)//2) table of an exact q.
+
+    A longer table replaces the slot's tuple and never extends it in place,
+    so a thread reading the slot always gets a complete table.
+    """
+    return [()]
+
+
+def _q_powers(q, t: int) -> tuple[complex, ...]:
+    """q ** (m(m+1)//2) for m = 0..t (the table may run further)."""
+    holder = _q_table(q) if _exact(q) else [()]
+    powers = holder[0]
+    if len(powers) <= t:
+        powers += tuple(q ** (m * (m + 1) // 2) for m in range(len(powers), t + 1))
+        holder[0] = powers
+    return powers
+
+
+def _sum_series(q, z, tol: float) -> complex:
+    """theta_series at raw q and z, for a tol already checked."""
+    if q == 0:
+        return 1 + z
+    if z == -1:
+        return 0j
+    abs_z = abs(z)
+    big_z = max(abs_z, 1 / abs_z)
+    if math.isinf(big_z):
+        raise OverflowError(f"1/|z| overflows a float at |z| = {abs_z}")
+    t = _pair_count(abs(q), big_z, tol)
+    q_powers = _q_powers(q, t)
+    z_powers = [z**n for n in range(t + 2)]
+    # Up to m = cut, (1+0j) / z**m stands for z ** (-m), bit for bit.  Where
+    # some 1/z^m could overflow, or z^m underflow to 0, z ** (-m) raises and
+    # the quotient would not; and a real z (a ThetaPoint built directly) has
+    # real powers, which the quotient would make complex.  There every pair
+    # keeps z ** (-m).
+    cut = min(t, _POWI_MAX)
+    if type(z) is not complex or (abs_z < 1 and not abs(z_powers[cut]) >= 1e-300):
+        cut = -1
+    total = 0j
+    try:
+        for m in range(t, -1, -1):  # small terms first
+            inverse = _ONE / z_powers[m] if m <= cut else z ** (-m)
+            total += q_powers[m] * (inverse + z_powers[m + 1])
+    except ZeroDivisionError:  # z**(-m) is 1/z**m, and z**m underflowed to 0
+        raise OverflowError(f"1/z^{m} overflows a float at |z| = {abs_z}") from None
+    return total
+
+
+# The series of the last few exact (q, z, tol): T(z|q) alone is asked for by
+# theta_series, the residual and theta_class(1, 0, "a").
+_series_memo = functools.lru_cache(maxsize=8)(_sum_series)
+
+# Every memo, for tests that start from empty ones.
+_CACHES = (_pair_count, _q_table, _series_memo)
+
+
+def _series(q, z, tol: float) -> complex:
+    if _exact(q) and _exact(z):
+        return _series_memo(q, z, tol)
+    return _sum_series(q, z, tol)
+
+
 def theta_series(point: ThetaPoint, tol: float) -> complex:
     """Partial sum of the bilateral series, accurate to tol in absolute value.
 
@@ -154,23 +254,7 @@ def theta_series(point: ThetaPoint, tol: float) -> complex:
     or a term overflows a float, or a power of z underflows to 0.
     """
     _check_tol(tol)
-    q, z = point.q, point.z
-    if q == 0:
-        return 1 + z
-    if z == -1:
-        return 0j
-    big_z = max(abs(z), 1 / abs(z))
-    if math.isinf(big_z):
-        raise OverflowError(f"1/|z| overflows a float at |z| = {abs(z)}")
-    t = _pairs_needed(abs(q), big_z, tol)
-    total = 0j
-    try:
-        for m in range(t, -1, -1):  # small terms first
-            e = m * (m + 1) // 2
-            total += (q**e) * (z ** (-m) + z ** (m + 1))
-    except ZeroDivisionError:  # z**(-m) is 1/z**m, and z**m underflowed to 0
-        raise OverflowError(f"1/z^{m} overflows a float at |z| = {abs(z)}") from None
-    return total
+    return _series(point.q, point.z, tol)
 
 
 def theta_product(point: ThetaPoint, factors: int) -> complex:
@@ -198,11 +282,14 @@ def aux_theta(variant: str, point: ThetaPoint, tol: float) -> complex:
     series is evaluated tightly enough that the scaled result meets tol.
     """
     _check_tol(tol)
-    q, z = point.q, point.z
+    return _aux(variant, point.q, point.z, tol)
+
+
+def _aux(variant: str, q, z, tol: float) -> complex:
     if variant == "a":
-        return theta_series(point, tol)
+        return _series(q, z, tol)
     if variant == "b":
-        return theta_series(ThetaPoint.from_qz(q, -z), tol)
+        return _series(*_qz(q, -z), tol)
     if variant not in ("c", "d"):
         raise ValueError(f"unknown variant {variant!r}")
     if q == 0:
@@ -212,7 +299,9 @@ def aux_theta(variant: str, point: ThetaPoint, tol: float) -> complex:
     if variant == "d":
         inner_z = -inner_z
     inner_tol = tol / max(abs(prefactor), 1e-300)
-    return prefactor * theta_series(_moved_point(point, q, inner_z), inner_tol)
+    inner_q, inner_z = _moved_point(q, z, q, inner_z)
+    _check_tol(inner_tol)  # tol / |prefactor| can underflow to 0
+    return prefactor * _series(inner_q, inner_z, inner_tol)
 
 
 def quasi_periodicity_residual(
@@ -230,18 +319,24 @@ def quasi_periodicity_residual(
     q, z = point.q, point.z
     if q == 0:
         raise ValueError("the quasi-periodicity relation is checked for 0 < |q| < 1")
-    lhs = theta_series(_moved_point(point, q, q * z), tol)
-    rhs = theta_series(point, tol) / z
+    lhs = _series(*_moved_point(q, z, q, q * z), tol)
+    rhs = _series(q, z, tol) / z
     first = abs(lhs - rhs)
     if point.nu is None or point.tau is None:
         second = 0.0
     else:
         shifted = cmath.exp(_TWO_PI_I * (point.nu + 1))
-        second = abs(
-            theta_series(ThetaPoint.from_qz(q, shifted), tol)
-            - theta_series(point, tol)
-        )
+        second = abs(_series(*_qz(q, shifted), tol) - _series(q, z, tol))
     return (first, second)
+
+
+def _substituted_qz(point: ThetaPoint, k: int, ell: int) -> tuple[complex, complex]:
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    if ell < 0:
+        raise ValueError("ell must be non-negative")
+    q, z = point.q, point.z
+    return _moved_point(q, z, q**k, (q**ell) * z)
 
 
 def substituted_point(point: ThetaPoint, k: int, ell: int) -> ThetaPoint:
@@ -251,16 +346,22 @@ def substituted_point(point: ThetaPoint, k: int, ell: int) -> ThetaPoint:
     classical Jacobi normalization.  Raises OverflowError when q^ell·z
     underflows to 0, and ValueError when it is 0 because q = 0 and ell >= 1.
     """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    if ell < 0:
-        raise ValueError("ell must be non-negative")
-    q, z = point.q, point.z
-    return _moved_point(point, q**k, (q**ell) * z)
+    return ThetaPoint(*_substituted_qz(point, k, ell))
+
+
+# (point, k, ell, (q, z)) of theta_class's last substitution, matched by
+# identity, so a hit stands for the very same computation.
+_last_substitution: tuple = (None, None, None, None)
 
 
 def theta_class(
     k: int, ell: int, variant: str, point: ThetaPoint, tol: float
 ) -> complex:
     """Variant evaluated at substituted_point(point, k, ell)."""
-    return aux_theta(variant, substituted_point(point, k, ell), tol)
+    global _last_substitution
+    last_point, last_k, last_ell, qz = _last_substitution
+    if not (last_point is point and last_k is k and last_ell is ell):
+        qz = _substituted_qz(point, k, ell)
+        _last_substitution = (point, k, ell, qz)
+    _check_tol(tol)
+    return _aux(variant, *qz, tol)

@@ -509,6 +509,35 @@ class TestOutputFile:
         assert err.count("\n") == 1
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_only_the_asked_format_is_built(self, capsys, monkeypatch, fmt):
+        built = []
+        real = qpl.cli._emit_table
+
+        def spy(args, payload, header, rows):
+            def json_payload():
+                built.append("json")
+                return payload()
+
+            def csv_rows():
+                built.append("csv")
+                return rows()
+
+            return real(args, json_payload, header, csv_rows)
+
+        monkeypatch.setattr(qpl.cli, "_emit_table", spy)
+        invocations = (
+            ("figurate", "--k", "3", "--ell", "1", "--bound", "2"),
+            ("partitions", "--set", "J:4,1", "--n", "6"),
+            ("partitions", "--set", "J:4,1", "--n", "6", "--check"),
+            ("divisors", "--k", "5", "--ell", "2", "--n", "6"),
+            ("divisors", "--k", "5", "--ell", "2", "--n", "6", "--check"),
+        )
+        for argv in invocations:
+            code, _, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0
+        assert built == [fmt] * len(invocations)
+
 
 class TestOutOfMemory:
     @pytest.mark.parametrize(

@@ -4,14 +4,19 @@ import cmath
 import hashlib
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qpl import theta
 from qpl.series import triple_pochhammer
 from qpl.theta import (
+    _ONE,
+    _POWI_MAX,
     MAX_PAIRS,
     ThetaPoint,
     _pairs_needed,
@@ -205,6 +210,12 @@ class TestAux:
         with pytest.raises(ValueError):
             aux_theta("e", ThetaPoint.from_qz(0.1, 1.0), 1e-12)
 
+    def test_underflowing_inner_tol_is_refused(self):
+        # tol / |q^{-1/8} z^{1/2}| = 1e-300 / 2.5e24 underflows to 0
+        for variant in "cd":
+            with pytest.raises(ValueError, match="tol must be positive"):
+                aux_theta(variant, ThetaPoint.from_qz(1e-200j, -0.5j), 1e-300)
+
     def test_underflowing_inner_z_is_overflow(self):
         # variant d's inner z, -q^{1/2}·z = -1e-480, underflows to 0
         with pytest.raises(OverflowError):
@@ -389,3 +400,184 @@ class TestBits:
         args = list(_pinned_points())[index]
         bits = _theta_bits(*args)
         assert hashlib.sha256(bits.encode()).hexdigest() == THETA_BITS[index], bits
+
+
+# (q, z, k, ell, factors, tol) for paths the shared work takes: the identity
+# substitution at |q| ~ 0.9 (theta_series, the residual and variant a sum one
+# series), pairs of points that ThetaPoint equality cannot tell apart because
+# a component is +0.0 in one and -0.0 in the other, a point needing 305
+# pairs whose terms past m = 100 reach the last bit (|q| ~ 0.995, |z| < 1),
+# and the first point again at a coarser tolerance.
+_EDGE_POINTS = (
+    (complex(0.5567, 0.7012), complex(-2.25, 1.125), 1, 0, 40, 1e-12),
+    (complex(-0.5, 0.0), complex(2.0, 0.0), 1, 0, 20, 1e-12),
+    (complex(-0.5, -0.0), complex(2.0, 0.0), 1, 0, 20, 1e-12),
+    (complex(0.5, 0.0), complex(-2.0, 0.0), 1, 0, 20, 1e-12),
+    (complex(0.5, 0.0), complex(-2.0, -0.0), 1, 0, 20, 1e-12),
+    (complex(0.0, 0.6), complex(0.0, -1.5), 2, 1, 20, 1e-12),
+    (complex(-0.0, 0.6), complex(0.0, -1.5), 2, 1, 20, 1e-12),
+    (complex(-0.7, 0.0), complex(0.25, 0.0), 3, 1, 20, 1e-8),
+    (complex(-0.7, -0.0), complex(0.25, 0.0), 3, 1, 20, 1e-8),
+    (complex(-0.7, -0.0), complex(0.25, -0.0), 3, 1, 20, 1e-8),
+    (complex(0.995, 0.03), complex(0.5, 0.25), 1, 0, 60, 1e-12),
+    (complex(0.5567, 0.7012), complex(-2.25, 1.125), 1, 0, 40, 1e-4),
+)
+
+# sha256 of _theta_bits per edge point, taken from the code before the series
+# shared any work (CPython 3.11, x86-64 Linux)
+EDGE_BITS = (
+    "623fc1e9aefe858304b1176dd004cef97ccd0b4af289ac76dc8bbfd9c7b22228",
+    "0e0ea76d457cb0b4b9f5788b6c43fd3e01d34e3958ff1b21faef9e4de70a97f8",
+    "7f4e9907e8321b16de0d844efb7ca1d1b337c48fff6656d890bb8f82899faa2d",
+    "f84e5783a3c51c2be0f1225e1da8257a3b34d198478a41106c627f2513f2f251",
+    "2da9c3ea15e79c1e803478945b96844fae110ea1317be0749176cf307a89d0d4",
+    "ff8ebfaba68c0115d844d224555b7f23bd6d784e2c91029de63d96bfd14ce4cc",
+    "f60a044c636e413d0532428c84eb6f5988f5f63f743128afa6ca89c7485ecd6e",
+    "3829d296366b46429bd5b6c0d0aa338d43a979160183fde08f93829a73df671a",
+    "1790526acd1cfc6f4385ca3385b05e8b6dd43ea4a70ea2f8253bfcd969f31968",
+    "1513b48f03d0a1860c61b2deefcd99e13bbaad4fce5ff32b9ac63c5f2e065ea1",
+    "a9211d070f54fc0baca3ebb69d9daa5b7b57bb2bd6df648e4530e605d460bf68",
+    "54d644b54ab597db519538b234969fb01e350e1e7e572b0162e33622ef81e88b",
+)
+
+
+def _clear_theta_caches():
+    for cache in theta._CACHES:
+        cache.cache_clear()
+
+
+def _signed_zero_variants(x):
+    """x with each zero component taken as +0.0 and as -0.0."""
+    reals = (0.0, -0.0) if x.real == 0 else (x.real,)
+    imags = (0.0, -0.0) if x.imag == 0 else (x.imag,)
+    return [complex(re, im) for re in reals for im in imags]
+
+
+class TestPowerIdentity:
+    # The z ** n table of theta_series takes z ** -m as (1+0j) / z ** m for
+    # m <= 100, because CPython's c_powi computes it that way there.
+    MODULI = (5e-324, 1e-310, 1e-200, 1e-30, 0.1, 0.75, 1.0, 1.5, 10.0, 1e30, 1e150)
+
+    def test_negative_power_is_the_reciprocal_up_to_100(self):
+        rng = random.Random(20261019)
+        points = []
+        for r in self.MODULI:
+            points += _signed_zero_variants(complex(r, 0.0))
+            points += _signed_zero_variants(complex(-r, 0.0))
+            points += _signed_zero_variants(complex(0.0, r))
+            points += [cmath.rect(r, rng.uniform(-math.pi, math.pi)) for _ in range(4)]
+        for z in points:
+            for m in range(_POWI_MAX + 1):
+                try:
+                    power = z**m
+                    want = z**-m
+                except (OverflowError, ZeroDivisionError):
+                    continue  # theta_series keeps z ** -m wherever either raises
+                got = _ONE / power
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (
+                    f"z ** -{m} is no longer (1+0j) / z ** {m} at z = {z!r}: this "
+                    "Python computes complex powers differently, and theta_series "
+                    "must go back to z ** (-m)"
+                )
+
+    def test_a_tiny_power_keeps_the_overflow_of_its_reciprocal(self):
+        # z^9 is subnormal: z ** -9 raises, while (1+0j) / z ** 9 is inf
+        pt = ThetaPoint.from_qz(complex(5e-11, 5e-11), complex(1e-35, 1e-35))
+        with pytest.raises(OverflowError, match=r"^complex exponentiation$"):
+            theta_series(pt, 1e-12)
+
+    def test_an_underflowing_power_names_its_exponent(self):
+        pt = ThetaPoint.from_qz(1e-10, 1e-40)
+        with pytest.raises(OverflowError, match=r"^1/z\^11 overflows a float at \|z\| = 1e-40$"):
+            theta_series(pt, 1e-12)
+
+
+class TestSharedWork:
+    @pytest.mark.parametrize("index", range(len(_EDGE_POINTS)))
+    def test_edge_values_unchanged(self, index):
+        _clear_theta_caches()
+        bits = _theta_bits(*_EDGE_POINTS[index])
+        assert hashlib.sha256(bits.encode()).hexdigest() == EDGE_BITS[index], bits
+
+    def test_any_order_and_cleared_caches_give_the_same_bits(self):
+        cases = list(zip(_EDGE_POINTS + tuple(_pinned_points()), EDGE_BITS + THETA_BITS))
+        rng = random.Random(20261019)
+        for clear in (False, True, False):
+            rng.shuffle(cases)
+            if clear:
+                _clear_theta_caches()
+            for args, want in cases:
+                assert hashlib.sha256(_theta_bits(*args).encode()).hexdigest() == want, args
+        for cache in theta._CACHES:
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+        for q in (0.995 + 0.03j, 0.5567 + 0.7012j):
+            assert len(theta._q_table(q)[0]) <= MAX_PAIRS + 1
+
+    def test_threads_sharing_the_memos_get_the_same_bits(self):
+        # every thread takes the points in the same order and empties the
+        # memos before each, so threads build the same q table at once
+        cases = list(zip(_EDGE_POINTS + tuple(_pinned_points()), EDGE_BITS + THETA_BITS))
+        start = threading.Barrier(4)
+        wrong = []
+
+        def work():
+            start.wait()
+            for args, want in cases * 5:
+                _clear_theta_caches()
+                if hashlib.sha256(_theta_bits(*args).encode()).hexdigest() != want:
+                    wrong.append(args)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_signed_zero_points_are_never_mixed_up(self):
+        # consecutive points that compare and hash equal, caches kept warm
+        signed = range(1, 10)
+        for index in [*signed, *reversed(signed)]:
+            bits = _theta_bits(*_EDGE_POINTS[index])
+            assert hashlib.sha256(bits.encode()).hexdigest() == EDGE_BITS[index], index
+
+    def test_series_at_two_tolerances_are_summed_apart(self):
+        pt = ThetaPoint.from_qz(0.45 + 0.3j, 3.7 - 1.1j)
+        _clear_theta_caches()
+        coarse = theta_series(pt, 1e-4)
+        fine = theta_series(pt, 1e-15)
+        _clear_theta_caches()
+        assert theta_series(pt, 1e-15) == fine
+        assert theta_series(pt, 1e-4) == coarse
+        assert coarse != fine
+
+    def test_real_fields_keep_their_own_arithmetic(self):
+        # A ThetaPoint built directly may hold a float or an int, whose powers
+        # CPython computes as reals; variant b converts to complex first.
+        want = {
+            (0.3, 2.5): ("0x1.7cd1b0ecab7b7p+2", "-0x1.13dc986cbb1b8p-3"),
+            (0.3, 2): ("0x1.256ba6221d483p+2", "-0x1.2ed3bcff47810p-3"),
+            (0.3, 0.13): ("0x1.592c6415af8b5p+2", "-0x1.2c2efc64c18acp-3"),
+            (-0.45, 0.13): ("-0x1.783a2c00490aep+1", "-0x1.bfa29da7ec00ep+1"),
+        }
+        for (q, z), (series, variant_b) in want.items():
+            pt = ThetaPoint(q, z)
+            got = (theta_series(pt, 1e-13), aux_theta("b", pt, 1e-13))
+            assert [(v.real.hex(), v.imag) for v in got] == [(series, 0), (variant_b, 0)]
+
+    def test_class_variants_of_one_point_share_one_substitution(self, monkeypatch):
+        pt = ThetaPoint.from_qz(0.3 + 0.4j, 1.2 - 0.5j)
+        want = [theta_class(2, 1, v, pt, 1e-12) for v in "abcd"]
+        calls = []
+        original = theta._substituted_qz
+        monkeypatch.setattr(theta, "_substituted_qz", lambda *a: calls.append(a) or original(*a))
+        other = ThetaPoint.from_qz(0.3 + 0.4j, 1.2 - 0.5j)  # equal, not the same object
+        assert [theta_class(2, 1, v, other, 1e-12) for v in "abcd"] == want
+        assert len(calls) == 1
