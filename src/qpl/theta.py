@@ -8,11 +8,10 @@ z = -1 exact and gives a clean geometric tail bound.  All fractional powers
 
 The calls at one point repeat most of their work, and the module shares it
 without changing a float operation: each exact (q, z, tol) is summed once,
-each pair count is found once per (|q|, max(|z|, 1/|z|), tol), each q keeps
-one table of q^{m(m+1)/2}, and each series computes every z^n once.  The
-memos are small LRU caches.  A series or a q table is memoized only when ==
-on its key implies identical bits, so never by ThetaPoint equality and never
-when a component of q or z is ±0.0.
+each pair count is found once per (|q|, max(|z|, 1/|z|), tol), and each q
+keeps one table of q^{m(m+1)/2}.  The memos are small and bounded.  A series
+or a q table is memoized only when == on its key implies identical bits, so
+never by ThetaPoint equality and never when a component of q or z is ±0.0.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ _TWO_PI_I = 2j * math.pi
 
 # Cap on the pairs one series may sum: |q| = 0.99999 at |z| = 1 needs 69 314.
 MAX_PAIRS = 100_000
-
-# CPython computes complex ** n for an integer |n| <= 100 by binary powering,
-# and z ** -m there as (1+0j) / z ** m; larger exponents take the polar route.
-_POWI_MAX = 100
-_ONE = 1 + 0j
 
 
 @dataclass(frozen=True)
@@ -181,23 +175,23 @@ def _exact(x) -> bool:
     return type(x) is complex and x.real != 0 and x.imag != 0
 
 
-@functools.lru_cache(maxsize=2)
-def _q_table(q: complex) -> list[tuple[complex, ...]]:
-    """A one-slot holder of the q ** (m(m+1)//2) table of an exact q.
-
-    A longer table replaces the slot's tuple and never extends it in place,
-    so a thread reading the slot always gets a complete table.
-    """
-    return [()]
+# The q ** (m(m+1)//2) tables of at most two exact q, each kept only up to
+# _Q_TABLE_MAX + 1 entries (together under 100 kB).  A longer table replaces
+# a shorter one and is never grown in place, so every reader gets a whole one.
+_q_tables: dict[complex, tuple[complex, ...]] = {}
+_Q_TABLE_MAX = 1000
 
 
 def _q_powers(q, t: int) -> tuple[complex, ...]:
     """q ** (m(m+1)//2) for m = 0..t (the table may run further)."""
-    holder = _q_table(q) if _exact(q) else [()]
-    powers = holder[0]
+    keep = _exact(q) and t <= _Q_TABLE_MAX
+    powers = _q_tables.get(q, ()) if keep else ()
     if len(powers) <= t:
         powers += tuple(q ** (m * (m + 1) // 2) for m in range(len(powers), t + 1))
-        holder[0] = powers
+        if keep:
+            if q not in _q_tables and len(_q_tables) >= 2:
+                _q_tables.clear()
+            _q_tables[q] = powers
     return powers
 
 
@@ -213,20 +207,10 @@ def _sum_series(q, z, tol: float) -> complex:
         raise OverflowError(f"1/|z| overflows a float at |z| = {abs_z}")
     t = _pair_count(abs(q), big_z, tol)
     q_powers = _q_powers(q, t)
-    z_powers = [z**n for n in range(t + 2)]
-    # Up to m = cut, (1+0j) / z**m stands for z ** (-m), bit for bit.  Where
-    # some 1/z^m could overflow, or z^m underflow to 0, z ** (-m) raises and
-    # the quotient would not; and a real z (a ThetaPoint built directly) has
-    # real powers, which the quotient would make complex.  There every pair
-    # keeps z ** (-m).
-    cut = min(t, _POWI_MAX)
-    if type(z) is not complex or (abs_z < 1 and not abs(z_powers[cut]) >= 1e-300):
-        cut = -1
     total = 0j
     try:
         for m in range(t, -1, -1):  # small terms first
-            inverse = _ONE / z_powers[m] if m <= cut else z ** (-m)
-            total += q_powers[m] * (inverse + z_powers[m + 1])
+            total += q_powers[m] * (z ** (-m) + z ** (m + 1))
     except ZeroDivisionError:  # z**(-m) is 1/z**m, and z**m underflowed to 0
         raise OverflowError(f"1/z^{m} overflows a float at |z| = {abs_z}") from None
     return total
@@ -236,8 +220,8 @@ def _sum_series(q, z, tol: float) -> complex:
 # theta_series, the residual and theta_class(1, 0, "a").
 _series_memo = functools.lru_cache(maxsize=8)(_sum_series)
 
-# Every memo, for tests that start from empty ones.
-_CACHES = (_pair_count, _q_table, _series_memo)
+# The LRU memos, for tests that start from empty ones (with _q_tables).
+_CACHES = (_pair_count, _series_memo)
 
 
 def _series(q, z, tol: float) -> complex:
@@ -349,19 +333,10 @@ def substituted_point(point: ThetaPoint, k: int, ell: int) -> ThetaPoint:
     return ThetaPoint(*_substituted_qz(point, k, ell))
 
 
-# (point, k, ell, (q, z)) of theta_class's last substitution, matched by
-# identity, so a hit stands for the very same computation.
-_last_substitution: tuple = (None, None, None, None)
-
-
 def theta_class(
     k: int, ell: int, variant: str, point: ThetaPoint, tol: float
 ) -> complex:
     """Variant evaluated at substituted_point(point, k, ell)."""
-    global _last_substitution
-    last_point, last_k, last_ell, qz = _last_substitution
-    if not (last_point is point and last_k is k and last_ell is ell):
-        qz = _substituted_qz(point, k, ell)
-        _last_substitution = (point, k, ell, qz)
+    qz = _substituted_qz(point, k, ell)
     _check_tol(tol)
     return _aux(variant, *qz, tol)

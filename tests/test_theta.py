@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from qpl import theta
 from qpl.series import triple_pochhammer
 from qpl.theta import (
-    _ONE,
-    _POWI_MAX,
     MAX_PAIRS,
     ThetaPoint,
     _pairs_needed,
@@ -149,6 +147,17 @@ class TestSeries:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             theta_series(ThetaPoint.from_qz(0.1, 1.0), 0.0)
+
+    def test_a_subnormal_power_of_z_overflows(self):
+        # z^9 is subnormal, and z ** -9 raises
+        pt = ThetaPoint.from_qz(complex(5e-11, 5e-11), complex(1e-35, 1e-35))
+        with pytest.raises(OverflowError, match=r"^complex exponentiation$"):
+            theta_series(pt, 1e-12)
+
+    def test_an_underflowing_power_names_its_exponent(self):
+        pt = ThetaPoint.from_qz(1e-10, 1e-40)
+        with pytest.raises(OverflowError, match=r"^1/z\^11 overflows a float at \|z\| = 1e-40$"):
+            theta_series(pt, 1e-12)
 
 
 class TestProduct:
@@ -406,8 +415,8 @@ class TestBits:
 # substitution at |q| ~ 0.9 (theta_series, the residual and variant a sum one
 # series), pairs of points that ThetaPoint equality cannot tell apart because
 # a component is +0.0 in one and -0.0 in the other, a point needing 305
-# pairs whose terms past m = 100 reach the last bit (|q| ~ 0.995, |z| < 1),
-# and the first point again at a coarser tolerance.
+# pairs (|q| ~ 0.995, |z| < 1), and the first point again at a coarser
+# tolerance.
 _EDGE_POINTS = (
     (complex(0.5567, 0.7012), complex(-2.25, 1.125), 1, 0, 40, 1e-12),
     (complex(-0.5, 0.0), complex(2.0, 0.0), 1, 0, 20, 1e-12),
@@ -444,52 +453,7 @@ EDGE_BITS = (
 def _clear_theta_caches():
     for cache in theta._CACHES:
         cache.cache_clear()
-
-
-def _signed_zero_variants(x):
-    """x with each zero component taken as +0.0 and as -0.0."""
-    reals = (0.0, -0.0) if x.real == 0 else (x.real,)
-    imags = (0.0, -0.0) if x.imag == 0 else (x.imag,)
-    return [complex(re, im) for re in reals for im in imags]
-
-
-class TestPowerIdentity:
-    # The z ** n table of theta_series takes z ** -m as (1+0j) / z ** m for
-    # m <= 100, because CPython's c_powi computes it that way there.
-    MODULI = (5e-324, 1e-310, 1e-200, 1e-30, 0.1, 0.75, 1.0, 1.5, 10.0, 1e30, 1e150)
-
-    def test_negative_power_is_the_reciprocal_up_to_100(self):
-        rng = random.Random(20261019)
-        points = []
-        for r in self.MODULI:
-            points += _signed_zero_variants(complex(r, 0.0))
-            points += _signed_zero_variants(complex(-r, 0.0))
-            points += _signed_zero_variants(complex(0.0, r))
-            points += [cmath.rect(r, rng.uniform(-math.pi, math.pi)) for _ in range(4)]
-        for z in points:
-            for m in range(_POWI_MAX + 1):
-                try:
-                    power = z**m
-                    want = z**-m
-                except (OverflowError, ZeroDivisionError):
-                    continue  # theta_series keeps z ** -m wherever either raises
-                got = _ONE / power
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), (
-                    f"z ** -{m} is no longer (1+0j) / z ** {m} at z = {z!r}: this "
-                    "Python computes complex powers differently, and theta_series "
-                    "must go back to z ** (-m)"
-                )
-
-    def test_a_tiny_power_keeps_the_overflow_of_its_reciprocal(self):
-        # z^9 is subnormal: z ** -9 raises, while (1+0j) / z ** 9 is inf
-        pt = ThetaPoint.from_qz(complex(5e-11, 5e-11), complex(1e-35, 1e-35))
-        with pytest.raises(OverflowError, match=r"^complex exponentiation$"):
-            theta_series(pt, 1e-12)
-
-    def test_an_underflowing_power_names_its_exponent(self):
-        pt = ThetaPoint.from_qz(1e-10, 1e-40)
-        with pytest.raises(OverflowError, match=r"^1/z\^11 overflows a float at \|z\| = 1e-40$"):
-            theta_series(pt, 1e-12)
+    theta._q_tables.clear()
 
 
 class TestSharedWork:
@@ -511,8 +475,16 @@ class TestSharedWork:
         for cache in theta._CACHES:
             info = cache.cache_info()
             assert info.currsize <= info.maxsize
-        for q in (0.995 + 0.03j, 0.5567 + 0.7012j):
-            assert len(theta._q_table(q)[0]) <= MAX_PAIRS + 1
+        assert len(theta._q_tables) <= 2
+
+    def test_long_q_tables_are_not_kept(self):
+        _clear_theta_caches()
+        q = 0.6 + 0.7j
+        assert len(theta._q_powers(q, theta._Q_TABLE_MAX)) == theta._Q_TABLE_MAX + 1
+        assert len(theta._q_tables[q]) == theta._Q_TABLE_MAX + 1
+        longer = theta._q_powers(q, theta._Q_TABLE_MAX + 1)
+        assert longer == tuple(q ** (m * (m + 1) // 2) for m in range(len(longer)))
+        assert len(theta._q_tables[q]) == theta._Q_TABLE_MAX + 1
 
     def test_threads_sharing_the_memos_get_the_same_bits(self):
         # every thread takes the points in the same order and empties the
@@ -571,13 +543,3 @@ class TestSharedWork:
             pt = ThetaPoint(q, z)
             got = (theta_series(pt, 1e-13), aux_theta("b", pt, 1e-13))
             assert [(v.real.hex(), v.imag) for v in got] == [(series, 0), (variant_b, 0)]
-
-    def test_class_variants_of_one_point_share_one_substitution(self, monkeypatch):
-        pt = ThetaPoint.from_qz(0.3 + 0.4j, 1.2 - 0.5j)
-        want = [theta_class(2, 1, v, pt, 1e-12) for v in "abcd"]
-        calls = []
-        original = theta._substituted_qz
-        monkeypatch.setattr(theta, "_substituted_qz", lambda *a: calls.append(a) or original(*a))
-        other = ThetaPoint.from_qz(0.3 + 0.4j, 1.2 - 0.5j)  # equal, not the same object
-        assert [theta_class(2, 1, v, other, 1e-12) for v in "abcd"] == want
-        assert len(calls) == 1
