@@ -25,13 +25,7 @@ from .partitions import (
     partition_shift_identities,
 )
 from .reports import VerificationReport, compare_series
-from .series import (
-    QSeries,
-    ZLaurentSeries,
-    binomial_product,
-    triple_pochhammer,
-    triple_product_rows,
-)
+from .series import QSeries, binomial_product, triple_pochhammer, triple_product_rows
 
 
 # --------------------------------------------------------------------------
@@ -53,7 +47,7 @@ def verify_triple_product(q_order: int, z_window: int) -> VerificationReport:
     """
     if q_order < 0 or z_window < 0:
         raise ParameterError("q_order and z_window must be non-negative")
-    rows = triple_product_rows(q_order)
+    rows = triple_product_rows(q_order, q_order + 1)
     euler = binomial_product(q_order, [(-1, m) for m in range(1, q_order + 1)])
     j_win = min(z_window, rows.margin)
     parameters = {"z_window": z_window}
@@ -129,6 +123,10 @@ def verify_hermite(s: int) -> VerificationReport:
     the comparison exact), followed by the substituted forms: the distinct
     (plain and signed) generating functions on each finite prefix family
     equal the matching Gaussian-coefficient sums in q^k.
+
+    The left side is the triple product's packed rows cut after s factors
+    (series.triple_product_rows); its rows |j| > s are zero, so only
+    |j| <= s are compared.
     """
     if s < 0:
         raise ParameterError("s must be non-negative")
@@ -136,18 +134,13 @@ def verify_hermite(s: int) -> VerificationReport:
         raise ParameterError(f"s is capped at {_HERMITE_MAX_S} for the exact expansion")
     parameters = {"s": s}
     order = s * s
-
-    lhs = ZLaurentSeries.one(order)
-    for m in range(1, s + 1):
-        lhs = lhs * ZLaurentSeries.qz_binomial(1, m, -1, order)
-        lhs = lhs * ZLaurentSeries.qz_binomial(1, m - 1, 1, order)
-
+    rows = triple_product_rows(order, s)
     for j in range(-s, s + 1):
         e = (j * j - j) // 2
         # degree (s^2 - j^2) + (j^2 - j)/2 <= s^2: padding and shifting drop nothing
         gauss = gaussian_binomial(2 * s, s + j)
         expected = QSeries.from_coeffs(gauss.coeffs, order).shift(e)
-        rep = compare_series("hermite", parameters, order, lhs.zcoeff(j), expected, j)
+        rep = compare_series("hermite", parameters, order, rows.zcoeff(j), expected, j)
         if not rep.passed:
             return rep
 

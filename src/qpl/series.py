@@ -254,6 +254,9 @@ class ZLaurentSeries:
     """Laurent polynomial in z whose coefficients are QSeries of one shared q-order.
 
     The support is the inclusive z-exponent range [zlo, zlo + len(zcoeffs) - 1].
+    No library path multiplies one: triple_product_rows expands the
+    two-variable products, and the tests use this class as its independent
+    reference. It stays in the package while perfbench/spans.py traces __mul__.
     """
 
     zlo: int
@@ -268,37 +271,22 @@ class ZLaurentSeries:
                 raise OrderMismatchError("all z-coefficients must share one q-order")
 
     @classmethod
-    def one(cls, order: int, zlo: int = 0, zhi: int = 0) -> "ZLaurentSeries":
-        """The unit series on the window [zlo, zhi] (which must contain 0)."""
-        if not zlo <= 0 <= zhi:
-            raise ParameterError("unit window must contain z^0")
-        coeffs = tuple(
-            QSeries.one(order) if j == 0 else QSeries.zero(order)
-            for j in range(zlo, zhi + 1)
-        )
-        return cls(zlo, coeffs)
+    def one(cls, order: int) -> "ZLaurentSeries":
+        return cls(0, (QSeries.one(order),))
 
     @classmethod
     def qz_binomial(cls, coeff: int, q_exp: int, z_exp: int, order: int) -> "ZLaurentSeries":
-        """The factor 1 + coeff·q^{q_exp}·z^{z_exp}; the q-term vanishes past the order."""
+        """The factor 1 + coeff·q^{q_exp}·z^{z_exp}, z_exp = ±1; the q-term vanishes past the order."""
         if q_exp < 0:
             raise ParameterError("q-exponent must be non-negative")
+        if z_exp not in (1, -1):
+            raise ParameterError(f"z-exponent must be +1 or -1, got {z_exp}")
+        one = QSeries.one(order)
         if q_exp > order:
             term = QSeries.zero(order)
         else:
             term = QSeries.monomial(q_exp, order, coeff)
-        if z_exp == 0:
-            return cls(0, (QSeries.one(order) + term,))
-        lo, hi = min(0, z_exp), max(0, z_exp)
-        coeffs = []
-        for j in range(lo, hi + 1):
-            if j == 0:
-                coeffs.append(QSeries.one(order))
-            elif j == z_exp:
-                coeffs.append(term)
-            else:
-                coeffs.append(QSeries.zero(order))
-        return cls(lo, tuple(coeffs))
+        return cls(-1, (term, one)) if z_exp == -1 else cls(0, (one, term))
 
     # queries ---------------------------------------------------------------------
 
@@ -333,9 +321,6 @@ class ZLaurentSeries:
                     continue
                 acc[i + j] = acc[i + j] + a * b
         return ZLaurentSeries(lo, tuple(acc))
-
-    def __repr__(self) -> str:
-        return f"ZLaurentSeries(z^{self.zlo}..z^{self.zhi}, order={self.order})"
 
 
 def triple_pochhammer(k: int, ell: int, sign: int, order: int) -> QSeries:
@@ -449,8 +434,13 @@ class PackedZRows:
         return QSeries.zero(self.order)
 
 
-def triple_product_rows(order: int) -> PackedZRows:
-    """Expand prod_{m>=1} (1 + q^m z^{-1})(1 + q^{m-1} z), truncated at ``order``.
+def triple_product_rows(order: int, factors: int) -> PackedZRows:
+    """Expand prod_{m=1}^{factors} (1 + q^m z^{-1})(1 + q^{m-1} z), truncated at ``order``.
+
+    Factors with m - 1 > order are 1 + O(q^{order+1}), so only m up to
+    min(factors, order + 1) are multiplied: factors = order + 1 is the whole
+    infinite product, and factors = s the finite product of the Hermite
+    identity, whose rows |j| > s are zero.
 
     A term of z^j uses at least |j| z-moves with distinct q-costs, so row j
     is zero below q^{j(j-1)/2} in every partial product, and row updates
@@ -459,7 +449,8 @@ def triple_product_rows(order: int) -> PackedZRows:
     j <= -(B-1) lie wholly past q^order, and every factor only raises
     q-exponents, so the descendants of a term that leaves the stored rows
     stay past the order too and truncation alone keeps every row exact.
-    Factors with m - 1 > order are 1 + O(q^{order+1}) and are skipped.
+    That argument needs nothing of the factor count, so B holds for a
+    finite product as well.
 
     Multiplying by (1 + q^s z^{±1}) adds to each row a masked, shifted copy
     of its neighbour. Every factor has non-negative coefficients and
@@ -467,10 +458,11 @@ def triple_product_rows(order: int) -> PackedZRows:
     most the matching coefficient of the whole product at z = 1,
     2·prod_{m<=order} (1+q^m)^2: that is prod (1 + q^e) over e = 0 and each
     m twice, bounded by _slot_bytes (80 bits at order 400), and no slot
-    carries into its neighbour.
+    carries into its neighbour. A finite product multiplies a subset of the
+    same factors, each at least 1 coefficientwise, so the same width holds.
     """
-    if order < 0:
-        raise ParameterError("order must be non-negative")
+    if order < 0 or factors < 0:
+        raise ParameterError("order and factors must be non-negative")
     n = order
     b = 2
     while b * (b - 1) // 2 <= n:
@@ -481,7 +473,7 @@ def triple_product_rows(order: int) -> PackedZRows:
     width = 8 * slot_bytes
     rows = [0] * size
     rows[b] = 1
-    for m in range(1, n + 2):
+    for m in range(1, min(factors, n + 1) + 1):
         # (1 + q^{m-1} z), descending so each source row is still the pre-multiply value
         s = m - 1
         keep = (1 << width * (n + 1 - s)) - 1

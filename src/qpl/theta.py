@@ -55,7 +55,7 @@ class ThetaPoint:
 
     @classmethod
     def from_qz(cls, q: complex, z: complex) -> "ThetaPoint":
-        return cls(complex(q), complex(z))
+        return cls(_as_complex(q), _as_complex(z))
 
     @classmethod
     def from_nu_tau(cls, nu: complex, tau: complex) -> "ThetaPoint":
@@ -71,15 +71,28 @@ class ThetaPoint:
 def _check_qz(q, z) -> None:
     if not abs(q) < 1:  # also rejects NaN
         raise ValueError(f"|q| must be < 1, got |q| = {abs(q)}")
-    if not cmath.isfinite(z):
+    try:
+        finite = cmath.isfinite(z)
+    except OverflowError:  # a number past the float range, such as a big int
+        finite = False
+    if not finite:
         raise ValueError(f"z must be finite, got {z}")
     if z == 0:
         raise ValueError("z must be nonzero")
 
 
+def _as_complex(x):
+    """complex(x), or x itself when it lies past the float range, for
+    _check_qz to refuse with the ValueError of its domain checks."""
+    try:
+        return complex(x)
+    except OverflowError:
+        return x
+
+
 def _qz(q, z) -> tuple[complex, complex]:
     """The q and z of ThetaPoint.from_qz(q, z), checked alike, building no point."""
-    q, z = complex(q), complex(z)
+    q, z = _as_complex(q), _as_complex(z)
     _check_qz(q, z)
     return q, z
 

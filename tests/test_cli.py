@@ -572,7 +572,7 @@ _small = st.integers(min_value=-1, max_value=9).map(str)
 _verify_argv = st.tuples(
     st.just("verify"), st.just("--identity"), st.sampled_from(IDENTITIES),
     st.just("--order"), _orders, st.just("--k"), _small, st.just("--ell"), _small,
-    st.just("--d"), _small, st.just("--s"), st.integers(0, 4).map(str),
+    st.just("--d"), _small, st.just("--s"), st.integers(-1, 8).map(str),
     st.just("--zwindow"), st.integers(0, 3).map(str),
 )
 _partitions_argv = st.tuples(

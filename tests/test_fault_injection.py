@@ -162,6 +162,22 @@ def test_hermite_product_stage(monkeypatch):
     assert_fails_at(rep, 2, truth[0], truth[0] + 1, z=1)
 
 
+def test_hermite_packed_rows(monkeypatch):
+    # the z^1 row at s = 3 is [6 choose 4]_q, whose q^2 coefficient is 2
+    real = PackedZRows.zcoeff
+
+    def corrupted(rows, j):
+        row = real(rows, j)
+        if j != 1:
+            return row
+        coeffs = list(row.coeffs)
+        coeffs[2] += 1
+        return QSeries(tuple(coeffs))
+
+    monkeypatch.setattr(PackedZRows, "zcoeff", corrupted)
+    assert_fails_at(verify_hermite(3), 2, 3, 2, z=1)
+
+
 def test_hermite_substituted_stage(monkeypatch):
     truth = corrupt(
         monkeypatch,

@@ -30,14 +30,17 @@ from qpl.series import (
 )
 
 
-def reference_triple_product(q_order: int, factors: int) -> ZLaurentSeries:
-    """Unclamped product of the first `factors` triples via general Laurent mults."""
+def reference_triple_product(q_order: int, factors: int, *, euler: bool) -> ZLaurentSeries:
+    """Unclamped product of the first `factors` triples via general Laurent
+    mults; without `euler` the (1-q^m) factors are left out, which is the
+    finite product of the Hermite identity."""
     acc = ZLaurentSeries.one(q_order)
     for m in range(1, factors + 1):
-        one_minus = QSeries.one(q_order)
-        if m <= q_order:
-            one_minus = one_minus - QSeries.monomial(m, q_order)
-        acc = acc * ZLaurentSeries(0, (one_minus,))
+        if euler:
+            one_minus = QSeries.one(q_order)
+            if m <= q_order:
+                one_minus = one_minus - QSeries.monomial(m, q_order)
+            acc = acc * ZLaurentSeries(0, (one_minus,))
         acc = acc * ZLaurentSeries.qz_binomial(1, m, -1, q_order)
         acc = acc * ZLaurentSeries.qz_binomial(1, m - 1, 1, q_order)
     return acc
@@ -121,7 +124,7 @@ class TestTripleProduct:
     def test_unclamped_reference_agrees(self):
         # independent route: full-support Laurent products, no window clamping
         q_order, j_win = 16, 4
-        ref = reference_triple_product(q_order, q_order + j_win + 2)
+        ref = reference_triple_product(q_order, q_order + j_win + 2, euler=True)
         for j in range(-j_win, j_win + 1):
             e = (j * j - j) // 2
             expected = (
@@ -133,17 +136,35 @@ class TestTripleProduct:
         # every stored row and one past each end, against full-support
         # Laurent products that drop nothing but what passes the order
         for q_order in range(17):
-            rows = triple_product_rows(q_order)
+            rows = triple_product_rows(q_order, q_order + 1)
             euler = euler_product(q_order)
-            ref = reference_triple_product(q_order, q_order + 1)
+            ref = reference_triple_product(q_order, q_order + 1, euler=True)
             assert rows.margin == margin(q_order)
             for j in range(-rows.margin - 1, rows.margin + 2):
                 assert euler * rows.zcoeff(j) == ref.zcoeff(j), (q_order, j)
 
+    def test_finite_rows_equal_laurent_expansion(self):
+        # the Hermite products (s factors at order s^2, s = 0..6) and, at
+        # small orders, every factor count up to three past order + 1, where
+        # a factor is 1 + O(q^{order+1}); every stored row and one past each end
+        cases = [(s * s, s) for s in range(7)]
+        cases += [(n, f) for n in range(9) for f in range(n + 4)]
+        for q_order, factors in cases:
+            rows = triple_product_rows(q_order, factors)
+            ref = reference_triple_product(q_order, factors, euler=False)
+            for j in range(-rows.margin - 1, rows.margin + 2):
+                assert rows.zcoeff(j) == ref.zcoeff(j), (q_order, factors, j)
+
+    def test_rows_reject_negative_arguments(self):
+        with pytest.raises(ParameterError):
+            triple_product_rows(-1, 0)
+        with pytest.raises(ParameterError):
+            triple_product_rows(4, -1)
+
     def test_reordered_rows_equal_interleaved_loop(self):
         # every stored row and one past each end
         for q_order in range(31):
-            rows = triple_product_rows(q_order)
+            rows = triple_product_rows(q_order, q_order + 1)
             euler = euler_product(q_order)
             ref = interleaved_triple_product_rows(q_order)
             for j in range(-rows.margin - 1, rows.margin + 2):
@@ -157,7 +178,7 @@ class TestTripleProduct:
         # past order 30, where the slots are wide and the coefficients large;
         # (400, 8) is the battery's call, with 80-bit slots. Every stored row
         # is compared, and so are the rows past them that z_window reads
-        rows = triple_product_rows(q_order)
+        rows = triple_product_rows(q_order, q_order + 1)
         ref = list_triple_product_rows(q_order)
         reach = max(rows.margin, z_window) + 1
         for j in range(-reach, reach + 1):
@@ -173,7 +194,7 @@ class TestTripleProduct:
             assert report.parameters == {"z_window": z_window}
 
     def test_constant_and_first_coefficients(self):
-        ref = reference_triple_product(10, 14)
+        ref = reference_triple_product(10, 14, euler=True)
         assert ref.zcoeff(0)[0] == 1
         assert ref.zcoeff(1) == QSeries.monomial(0, 10)  # exponent (1-1)/2 = 0
         assert ref.zcoeff(-1) == QSeries.monomial(1, 10)
@@ -243,6 +264,17 @@ class TestHermite:
             verify_hermite(7)
         with pytest.raises(ParameterError):
             verify_hermite(-1)
+
+    def test_no_laurent_product_is_multiplied(self, monkeypatch):
+        # Hermite reads the packed triple-product rows; ZLaurentSeries is
+        # the tests' independent reference only
+        def refuse(*args, **kwargs):
+            raise AssertionError("no library path may multiply a ZLaurentSeries")
+
+        monkeypatch.setattr(ZLaurentSeries, "__mul__", refuse)
+        for s in range(7):
+            assert verify_hermite(s).passed
+        assert all(r.passed for r in battery(3, 4, 40))
 
 
 class TestBoundaryHalf:

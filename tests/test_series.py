@@ -215,6 +215,16 @@ class TestLaurent:
         assert all(s.is_zero() for s in prod.zcoeffs)
         assert (prod.zlo, prod.zhi) == (-2 + 0, 1 + 1)
 
+    def test_binomial_takes_unit_z_exponents_only(self):
+        for z_exp in (0, 2, -2):
+            with pytest.raises(ParameterError):
+                ZLaurentSeries.qz_binomial(1, 1, z_exp, 3)
+        with pytest.raises(ParameterError):
+            ZLaurentSeries.qz_binomial(1, -1, 1, 3)
+        # a q-term past the order vanishes
+        past = ZLaurentSeries.qz_binomial(1, 4, -1, 3)
+        assert past.zcoeff(-1).is_zero() and past.zcoeff(0) == QSeries.one(3)
+
     def test_q_order_mismatch(self):
         with pytest.raises(OrderMismatchError):
             ZLaurentSeries(0, (QSeries.one(3),)) * ZLaurentSeries(0, (QSeries.one(4),))

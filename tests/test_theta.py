@@ -94,6 +94,17 @@ class TestPoint:
             with pytest.raises(ValueError):
                 ThetaPoint.from_qz(q, z)
 
+    def test_z_past_the_float_range_is_not_finite(self):
+        # an int too large for a float gets the ValueError of any other
+        # non-finite z, from a directly built point and from from_qz alike
+        for z in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^z must be finite, got "):
+                ThetaPoint(0.5, z)
+            with pytest.raises(ValueError, match="^z must be finite, got "):
+                ThetaPoint.from_qz(0.5, z)
+        with pytest.raises(ValueError, match=r"^\|q\| must be < 1"):
+            ThetaPoint.from_qz(10**400, 0.5)
+
     def test_nu_tau_conversion(self):
         pt = ThetaPoint.from_nu_tau(0.25, 0.5j)
         assert abs(pt.q - math.exp(-math.pi)) < 1e-15
