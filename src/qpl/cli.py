@@ -15,31 +15,16 @@ import io
 import json
 import sys
 
-from .divisors import (
-    DIVISOR_METHODS,
-    apostol_convolution_check,
-    divisor_sums,
-    kim_identity_check,
-)
+from .divisors import DIVISOR_METHODS, divisor_sums
 from .errors import OracleBoundError, ParameterError
 from .figurate import ModularParams, figurate_enumerate
-from .identities import (
-    battery,
-    verify_berger,
-    verify_boundary_half,
-    verify_hermite,
-    verify_specialized,
-    verify_sylvester,
-    verify_triple_product,
-)
+from .identities import battery, verify_identity
 from .partitions import (
     RECURSION_KINDS,
     CountMode,
-    bounded_mult_shift_identity,
     gf_count,
     oracle_bound,
     oracle_table,
-    partition_shift_identities,
     recursion_table,
 )
 from .partsets import parse_part_set
@@ -212,42 +197,21 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return lo_k, hi_k
 
 
-def _single_verification(args):
-    name = args.identity
-    if name == "triple_product":
-        return verify_triple_product(args.order, args.zwindow)
-    if name == "berger":
-        return verify_berger(args.k, args.order)
-    if name == "hermite":
-        return verify_hermite(args.s)
-    if name == "boundary_half":
-        return verify_boundary_half(args.k, args.order)
-    params = ModularParams(args.k, args.ell)
-    if name == "specialized":
-        return verify_specialized(params, args.sign, args.order)
-    if name == "sylvester":
-        return verify_sylvester(params, args.order)
-    if name == "partition_shift":
-        return partition_shift_identities(params, args.gamma, args.order)
-    if name == "bounded_mult_shift":
-        return bounded_mult_shift_identity(params, args.d, args.order)
-    if name == "apostol":
-        return apostol_convolution_check(params, args.order)
-    if name == "kim":
-        return kim_identity_check(params, args.order)
-    raise ParameterError(f"unknown identity {name!r}")
-
-
 def _cmd_verify(args) -> int:
+    # checked whatever the identity; the verifiers that read --s or --zwindow check them
+    if args.order < 0:
+        raise ParameterError(f"order must be non-negative, got {args.order}")
+    if args.d < 1:
+        raise ParameterError(f"d must be >= 1, got {args.d}")
+    if args.jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
     if args.all:
         lo, hi = _parse_grid(args.grid)
-        if args.jobs < 1:
-            raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
         results = battery(lo, hi, args.order, z_window=args.zwindow)
+    elif args.identity is None:
+        raise ParameterError("verify needs --identity NAME or --all")
     else:
-        if args.identity is None:
-            raise ParameterError("verify needs --identity NAME or --all")
-        results = [_single_verification(args)]
+        results = [verify_identity(args.identity, args)]
     payload = [r.to_json_dict() for r in results]
     _emit(_json_text(payload), args.output)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from itertools import accumulate
+from operator import index
 
 from .errors import ParameterError
 from .series import QSeries
@@ -121,31 +122,28 @@ def signed_figurate_series(params: ModularParams, sign: int, order: int) -> QSer
     return QSeries(tuple(coeffs))
 
 
-@lru_cache(maxsize=None)
-def _gauss_coeffs(n: int, m: int) -> tuple[int, ...]:
-    # q-Pascal rule: [n, m] = [n-1, m-1] + q^m [n-1, m]
-    if m < 0 or m > n:
-        return (0,)
-    if m == 0 or m == n:
-        return (1,)
-    a = _gauss_coeffs(n - 1, m - 1)
-    b = _gauss_coeffs(n - 1, m)
-    out = [0] * max(len(a), m + len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[m + i] += c
-    return tuple(out)
-
-
 def gaussian_binomial(n: int, m: int) -> QSeries:
     """The q-binomial coefficient [n choose m]_q as a series whose order is its
     degree m(n-m); the zero series of order 0 outside 0 <= m <= n.
 
-    Computed by the q-Pascal recurrence with memoization so every intermediate
-    value stays integral; at q = 1 the coefficients sum to comb(n, m).
+    Computed by the product formula prod_{i=1}^{m} (1 - q^{n-m+i}) / (1 - q^i)
+    on the m(n-m) + 1 coefficients: each factor is a shift-subtract and each
+    division an integral running sum, and truncating at the degree commutes
+    with both. At q = 1 the coefficients sum to comb(n, m).
     """
+    try:
+        n, m = index(n), index(m)
+    except TypeError:
+        raise ParameterError(f"n and m must be integers, got n={n!r}, m={m!r}") from None
     if n < 0:
         raise ParameterError("n must be non-negative")
-    return QSeries(_gauss_coeffs(n, int(m)))
-
+    if not 0 <= m <= n:
+        return QSeries((0,))
+    m = min(m, n - m)  # [n choose m] = [n choose n-m]: fewer factors
+    coeffs = [1] + [0] * (m * (n - m))
+    for i in range(1, m + 1):
+        e = n - m + i
+        coeffs[e:] = [a - b for a, b in zip(coeffs[e:], coeffs)]
+        for r in range(i):
+            coeffs[r::i] = accumulate(coeffs[r::i])
+    return QSeries(tuple(coeffs))

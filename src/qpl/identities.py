@@ -281,3 +281,38 @@ def battery(k_lo: int, k_hi: int, order: int, z_window: int = 8) -> list[Verific
         out.append(apostol_convolution_check(params, order))
         out.append(kim_identity_check(params, order))
     return out
+
+
+# --------------------------------------------------------------------------
+# Identity names
+# --------------------------------------------------------------------------
+
+
+def _params(f) -> ModularParams:
+    return ModularParams(f.k, f.ell)
+
+
+# verify --identity NAME: each entry reads its verifier's flags and looks the
+# verifier up when it runs, so a rebound module name (a tracer's span, a
+# test's patch) is the one called
+IDENTITIES = {
+    "triple_product": lambda f: verify_triple_product(f.order, f.zwindow),
+    "specialized": lambda f: verify_specialized(_params(f), f.sign, f.order),
+    "berger": lambda f: verify_berger(f.k, f.order),
+    "hermite": lambda f: verify_hermite(f.s),
+    "boundary_half": lambda f: verify_boundary_half(f.k, f.order),
+    "sylvester": lambda f: verify_sylvester(_params(f), f.order),
+    "partition_shift": lambda f: partition_shift_identities(_params(f), f.gamma, f.order),
+    "bounded_mult_shift": lambda f: bounded_mult_shift_identity(_params(f), f.d, f.order),
+    "apostol": lambda f: apostol_convolution_check(_params(f), f.order),
+    "kim": lambda f: kim_identity_check(_params(f), f.order),
+}
+
+
+def verify_identity(name: str, flags) -> VerificationReport:
+    """Run IDENTITIES[name] on flags: any object with the `qpl verify` flags as
+    attributes (the parsed command line, say), so defaults live in the parser."""
+    run = IDENTITIES.get(name)
+    if run is None:
+        raise ParameterError(f"unknown identity {name!r}")
+    return run(flags)

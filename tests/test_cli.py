@@ -4,8 +4,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 import qpl.cli
 import qpl.divisors
+import qpl.identities
 import qpl.partitions
 from qpl.cli import main
 from qpl.errors import ParameterError
+from qpl.reports import Mismatch, VerificationReport
 
 IDENTITIES = (
     "triple_product", "specialized", "berger", "hermite", "boundary_half",
@@ -42,6 +46,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_identity_names_are_the_library_table():
+    # IDENTITIES above stays written out, so a name dropped from the table shows
+    assert IDENTITIES == tuple(qpl.identities.IDENTITIES)
+
+
+def test_readme_lists_the_identity_names():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Identity names for `verify --identity`", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"`(\w+)`", paragraph.split(":", 1)[1])
+    assert tuple(names) == tuple(qpl.identities.IDENTITIES)
 
 
 class TestFigurate:
@@ -337,6 +353,20 @@ class TestVerify:
             2, "", "qpl: error: unknown identity 'nosuch'\n"
         )
 
+    def test_unknown_identity_is_named_before_its_parameters(self, capsys):
+        # this once said "k must be a positive integer": (k, ell) was built first
+        assert run(capsys, "verify", "--identity", "nosuch", "--k", "0") == (
+            2, "", "qpl: error: unknown identity 'nosuch'\n"
+        )
+
+    def test_dispatch_calls_the_module_binding(self, capsys, monkeypatch):
+        # a name table holding function objects would run the unpatched verifier
+        failing = VerificationReport("berger", {"k": 5}, 20, False, Mismatch(3, 1, 0))
+        monkeypatch.setattr(qpl.identities, "verify_berger", lambda k, order: failing)
+        code, out, _ = run(capsys, "verify", "--identity", "berger", "--k", "5", "--order", "20")
+        assert code == 1
+        assert json.loads(out)[0]["outcome"] == "fail"
+
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "verify", "--all", "--grid", "m=1..2")
         assert code == 2
@@ -385,6 +415,19 @@ class TestVerify:
         )
         assert (code, out) == (2, "")
         assert err == f"qpl: error: jobs must be >= 1, got {jobs}\n"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("--identity", "hermite", "--order", "-1"), "order must be non-negative, got -1"),
+            (("--identity", "kim", "--order", "5", "--jobs", "0"), "jobs must be >= 1, got 0"),
+            (("--identity", "berger", "--order", "5", "--d", "0"), "d must be >= 1, got 0"),
+            (("--all", "--grid", "k=3..3", "--order", "5", "--d", "0"), "d must be >= 1, got 0"),
+        ],
+    )
+    def test_flags_checked_whatever_the_identity(self, capsys, args, message):
+        # each once exited 0: the flag was checked only where a verifier read it
+        assert run(capsys, "verify", *args) == (2, "", f"qpl: error: {message}\n")
 
 
     def test_huge_zwindow_is_cheap(self, qpl_env):
@@ -570,10 +613,15 @@ class TestOutOfMemory:
 _orders = st.integers(min_value=-3, max_value=30).map(str)
 _small = st.integers(min_value=-1, max_value=9).map(str)
 _verify_argv = st.tuples(
-    st.just("verify"), st.just("--identity"), st.sampled_from(IDENTITIES),
+    st.just("verify"),
+    st.one_of(
+        st.tuples(st.just("--identity"), st.sampled_from(IDENTITIES + ("nosuch",))),
+        st.just(("--all", "--grid", "k=3..3")),
+    ),
     st.just("--order"), _orders, st.just("--k"), _small, st.just("--ell"), _small,
     st.just("--d"), _small, st.just("--s"), st.integers(-1, 8).map(str),
-    st.just("--zwindow"), st.integers(0, 3).map(str),
+    st.just("--zwindow"), st.integers(-1, 3).map(str),
+    st.just("--jobs"), st.integers(-1, 3).map(str),
 )
 _partitions_argv = st.tuples(
     st.just("partitions"),

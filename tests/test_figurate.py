@@ -183,3 +183,18 @@ class TestGaussian:
                 b = QSeries.from_coeffs(gaussian_binomial(n - 1, m).coeffs, order)
                 assert lhs == a + b.shift(m)
                 assert lhs == a.shift(n - m) + b
+
+
+class TestGaussianProductFormula:
+    def test_large_n_does_not_recurse(self):
+        # the q-Pascal recursion once raised RecursionError here
+        g = gaussian_binomial(1500, 2)
+        assert g.order == 2 * 1498
+        assert g.coeffs == g.coeffs[::-1]
+        assert sum(g.coeffs) == comb(1500, 2)
+
+    @pytest.mark.parametrize("n,m", [(4, 2.5), (4.0, 2), ("4", 2)])
+    def test_non_integer_rejected(self, n, m):
+        # the two floats once quietly gave [4 choose 2], the string a TypeError
+        with pytest.raises(ParameterError, match="must be integers"):
+            gaussian_binomial(n, m)
