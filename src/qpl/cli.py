@@ -194,6 +194,8 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ParameterError(f"grid must look like k=3..8, got {text!r}") from None
     if lo_k > hi_k:
         raise ParameterError(f"grid {text!r} is empty: its lower end exceeds its upper end")
+    if lo_k < 1:
+        raise ParameterError(f"grid {text!r} starts below k=1: k must be a positive integer")
     return lo_k, hi_k
 
 

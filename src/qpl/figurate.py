@@ -32,9 +32,9 @@ class ModularParams:
     ell: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
+        if require_integer(self.k, "k") < 1:
             raise ParameterError("k must be a positive integer")
-        if not 0 <= self.ell <= self.k:
+        if not 0 <= require_integer(self.ell, "ell") <= self.k:
             raise ParameterError(
                 f"ell must satisfy 0 <= ell <= k, got ell={self.ell}, k={self.k}"
             )
@@ -51,6 +51,14 @@ class ModularParams:
     @property
     def is_interior(self) -> bool:
         return self.boundary_class is BoundaryClass.INTERIOR
+
+
+def require_integer(value, name: str) -> int:
+    """``value`` as an int through operator.index; a float, str or None is a ParameterError."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 def require_interior(params: ModularParams, context: str) -> None:

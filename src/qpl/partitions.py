@@ -19,7 +19,7 @@ from functools import lru_cache, reduce
 from typing import Iterator
 
 from .errors import NotInvertibleError, OracleBoundError, ParameterError
-from .figurate import ModularParams, require_interior, signed_figurate_series
+from .figurate import ModularParams, require_integer, require_interior, signed_figurate_series
 from .partsets import PartSet
 from .reports import VerificationReport, compare_series
 from .series import QSeries, binomial_product, triple_pochhammer
@@ -36,7 +36,8 @@ class CountMode:
     length_signed: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_multiplicity is not None and self.max_multiplicity < 1:
+        cap = self.max_multiplicity
+        if cap is not None and require_integer(cap, "multiplicity cap") < 1:
             raise ParameterError("multiplicity cap must be >= 1")
 
     @property
@@ -80,31 +81,31 @@ def oracle_count(n: int, part_set: PartSet, mode: CountMode) -> int:
     """Exact (signed) partition count by dynamic programming over the real parts.
 
     Deliberately simple so it stays obviously correct; refuses n beyond the
-    configured bound.  Negative n counts nothing.  The count is read from a
-    pass to the next power of two at or above n, capped at the bound, so a
-    sweep n = 0..N runs about log2 N passes and none past the bound.
+    configured bound.  Negative n counts nothing.
+    """
+    return _oracle_pass(part_set, mode, n)[n] if n >= 0 else 0
+
+
+def oracle_table(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
+    """oracle_count for n = 0..order, as a series, from one pass to the order."""
+    if order < 0:
+        raise ParameterError("order must be non-negative")
+    return QSeries(_oracle_pass(part_set, mode, order))
+
+
+def _oracle_pass(part_set: PartSet, mode: CountMode, top: int) -> tuple[int, ...]:
+    """ways[v] for v = 0..top, the counts of one dynamic-programming pass;
+    refuses a top beyond the configured bound.
+
+    A part m > v and a term with t·m > top never touch ways[v], so ways[v]
+    is the same in a pass to v and in a pass to any top >= v.
     """
     bound = oracle_bound()
-    if n > bound:
+    if top > bound:
         raise OracleBoundError(
-            f"oracle refuses n={n} above its bound {bound} "
+            f"oracle refuses n={top} above its bound {bound} "
             f"(set {ORACLE_BOUND_ENV} to raise it)"
         )
-    if n < 0:
-        return 0
-    top = min(1 << (n - 1).bit_length() if n else 1, bound)
-    return _oracle_pass(part_set, mode, top)[n]
-
-
-@lru_cache(maxsize=8)
-def _oracle_pass(part_set: PartSet, mode: CountMode, top: int) -> tuple[int, ...]:
-    """ways[v] for v = 0..top, the counts of one dynamic-programming pass.
-
-    The reach does not change the counts it covers: a part m > v and a term
-    with t·m > top never touch ways[v], so ways[v] is the same in a pass to v
-    and in a pass to any top >= v.  An ascending sweep needs only its latest
-    pass; eight entries leave room to interleave a few keys.
-    """
     g = mode.gamma
     cap = mode.max_multiplicity
     ways = [0] * (top + 1)
@@ -124,13 +125,6 @@ def _oracle_pass(part_set: PartSet, mode: CountMode, top: int) -> tuple[int, ...
                     new[v] += weight * ways[v - t * m]
             ways = new
     return tuple(ways)
-
-
-def oracle_table(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
-    """oracle_count for n = 0..order, as a series."""
-    if order < 0:
-        raise ParameterError("order must be non-negative")
-    return QSeries(tuple(oracle_count(n, part_set, mode) for n in range(order + 1)))
 
 
 def generate_partitions(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .figurate import ModularParams, require_interior
+from .figurate import ModularParams, require_integer, require_interior
 
 __all__ = ["PartSet", "parse_part_set"]
 
@@ -62,7 +62,7 @@ class PartSet:
     @classmethod
     def finite_prefix(cls, k: int, ell: int, s: int) -> "PartSet":
         """First s members of each of the two progressions; interior only."""
-        if s < 1:
+        if require_integer(s, "prefix length s") < 1:
             raise ParameterError("prefix length s must be >= 1")
         params = ModularParams(k, ell)
         require_interior(params, "the finite prefix family")
@@ -70,13 +70,11 @@ class PartSet:
 
     @classmethod
     def multiples(cls, k: int) -> "PartSet":
-        if k < 1:
-            raise ParameterError("k must be a positive integer")
         return cls("mult", params=ModularParams(k, 0))
 
     @classmethod
     def explicit(cls, parts) -> "PartSet":
-        fs = frozenset(int(p) for p in parts)
+        fs = frozenset(require_integer(p, "explicit part") for p in parts)
         if any(p < 1 for p in fs):
             raise ParameterError("explicit parts must be positive integers")
         return cls("set", parts=fs)

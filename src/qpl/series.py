@@ -502,7 +502,7 @@ def _pack(coeffs, slot_bytes: int) -> int:
     shifted = map(add, coeffs, repeat(half))
     if slot_bytes not in _FORMATS:
         shifted = map(int.to_bytes, shifted, repeat(slot_bytes), repeat("little"))
-    data = _slots(slot_bytes, count).pack(*shifted)
+    data = struct.pack(_slot_format(slot_bytes, count), *shifted)
     return int.from_bytes(data, "little") - _offset(slot_bytes, count)
 
 
@@ -528,7 +528,7 @@ def _offset(slot_bytes: int, count: int) -> int:
 def _unpack(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
     """The order + 1 unsigned slots of ``packed``, lowest first, each slot_bytes wide."""
     data = packed.to_bytes(slot_bytes * (order + 1), "little")
-    slots = _slots(slot_bytes, order + 1).unpack(data)
+    slots = struct.unpack(_slot_format(slot_bytes, order + 1), data)
     if slot_bytes in _FORMATS:
         return slots
     return tuple(map(int.from_bytes, slots, repeat("little")))
@@ -539,13 +539,10 @@ def _unpack(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-@lru_cache(maxsize=32)
-def _slots(slot_bytes: int, count: int) -> struct.Struct:
-    """A little-endian struct of ``count`` unsigned slots of slot_bytes bytes."""
+def _slot_format(slot_bytes: int, count: int) -> str:
+    """The little-endian struct format of ``count`` unsigned slots of slot_bytes bytes."""
     code = _FORMATS.get(slot_bytes)
-    if code:
-        return struct.Struct(f"<{count}{code}")
-    return struct.Struct("<" + f"{slot_bytes}s" * count)
+    return f"<{count}{code}" if code else "<" + f"{slot_bytes}s" * count
 
 
 def _slot_bytes(order: int, exps) -> int:

@@ -376,6 +376,18 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "k=8..3" in err
 
+    @pytest.mark.parametrize("grid", ["k=0..2", "k=-1..3"])
+    def test_grid_below_one_rejected_before_any_verifier(self, capsys, monkeypatch, grid):
+        # k=0..2 once expanded the triple product and the Hermite rows before
+        # verify_berger(0) raised
+        def refuse(*args):
+            raise AssertionError("no verifier may run")
+
+        monkeypatch.setattr(qpl.identities, "verify_triple_product", refuse)
+        assert run(capsys, "verify", "--all", "--grid", grid, "--order", "400") == (
+            2, "", f"qpl: error: grid {grid!r} starts below k=1: k must be a positive integer\n"
+        )
+
     def test_bounded_mult_shift_d_zero_rejected(self, capsys):
         code, out, err = run(
             capsys, "verify", "--identity", "bounded_mult_shift", "--d", "0",
@@ -616,7 +628,7 @@ _verify_argv = st.tuples(
     st.just("verify"),
     st.one_of(
         st.tuples(st.just("--identity"), st.sampled_from(IDENTITIES + ("nosuch",))),
-        st.just(("--all", "--grid", "k=3..3")),
+        st.integers(-1, 3).map(lambda lo: ("--all", "--grid", f"k={lo}..3")),
     ),
     st.just("--order"), _orders, st.just("--k"), _small, st.just("--ell"), _small,
     st.just("--d"), _small, st.just("--s"), st.integers(-1, 8).map(str),
@@ -635,7 +647,8 @@ _partitions_argv = st.tuples(
     st.just("--mode"), st.sampled_from(["unrestricted", "distinct", "at-most"]),
     st.just("--gamma"), st.sampled_from(["1", "-1"]),
     st.one_of(st.just(()), st.tuples(st.just("--d"), _small)),
-    st.just("--n"), _orders,
+    # 119..121 straddle the default oracle bound of 120
+    st.just("--n"), st.one_of(_orders, st.integers(119, 121).map(str)),
     st.one_of(
         st.just("--check"),
         st.tuples(st.just("--method"), st.sampled_from(["oracle", "gf", "recursion"])),

@@ -40,15 +40,14 @@ E = 17
 
 MEMOS = (
     qpl.partitions._gf_product,
-    qpl.partitions._oracle_pass,
     qpl.series._pochhammer_product,
 )
 
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """A patched kernel can neither be hidden by a table, product or oracle
-    pass cached before the test nor leave a corrupted one cached after it."""
+    """A patched kernel can neither be hidden by a table or product cached
+    before the test nor leave a corrupted one cached after it."""
     for memo in MEMOS:
         memo.cache_clear()
     yield

@@ -1,5 +1,6 @@
 """Gnomons, figurate numbers, boundary collision rules, Gaussian binomials."""
 
+import re
 from math import comb
 
 import pytest
@@ -51,6 +52,20 @@ class TestParams:
             ModularParams(3, 4)
         with pytest.raises(ParameterError):
             ModularParams(3, -1)
+
+    @pytest.mark.parametrize(
+        "k,ell,message",
+        [
+            (3.5, 1, "k must be an integer, got 3.5"),
+            (3.0, 1, "k must be an integer, got 3.0"),
+            (3, 1.0, "ell must be an integer, got 1.0"),
+            ("3", 1, "k must be an integer, got '3'"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, k, ell, message):
+        # each once constructed and failed later, or ran on a truncated value
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            ModularParams(k, ell)
 
 
 class TestGnomon:

@@ -6,6 +6,7 @@ layers.
 """
 
 import functools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,6 @@ from qpl.partitions import (
     UNRESTRICTED,
     _figurate_quotient,
     _gf_product,
-    _oracle_pass,
     at_most,
     bounded_mult_shift_identity,
     generate_partitions,
@@ -86,7 +86,7 @@ def enumerated_count(n, part_set, mode):
 
 @functools.cache
 def per_n_count(n, part_set, mode):
-    """The oracle as it was before passes were reused: a fresh DP to n for every n."""
+    """A fresh DP to n alone, the reference for reading n from a longer pass."""
     g = mode.gamma
     cap = mode.max_multiplicity
     ways = [0] * (n + 1)
@@ -109,32 +109,8 @@ def per_n_count(n, part_set, mode):
 
 
 ORACLE_MODES = st.builds(CountMode, st.sampled_from([None, 1, 2, 3]), st.booleans())
-# QPL_ORACLE_BOUND values at or above the largest n drawn; None leaves it unset
+# QPL_ORACLE_BOUND values at or above the largest order drawn; None leaves it unset
 ORACLE_BOUNDS = st.sampled_from([None, 80, 81, 100, 128, 200, 300])
-
-
-@st.composite
-def oracle_call_plans(draw):
-    """oracle_count calls (part_set, mode, n) for n <= 80 in ascending,
-    descending, shuffled or two-key interleaved order, each paired with the
-    QPL_ORACLE_BOUND to set before it."""
-    first = (draw(st.sampled_from(SMALL_SETS)), draw(ORACLE_MODES))
-    # the second key often shares the first's part set, so that a memo keyed
-    # without the mode would hand one mode's pass to the other
-    second = (
-        draw(st.one_of(st.just(first[0]), st.sampled_from(SMALL_SETS))),
-        draw(ORACLE_MODES),
-    )
-    ns = range(draw(st.integers(0, 80)) + 1)
-    order = draw(st.sampled_from(["ascending", "descending", "shuffled", "interleaved"]))
-    if order == "interleaved":
-        calls = [(*key, n) for n in ns for key in (first, second)]
-    elif order == "shuffled":
-        calls = [(*first, n) for n in draw(st.permutations(list(ns)))]
-    else:
-        calls = [(*first, n) for n in (ns if order == "ascending" else reversed(ns))]
-    bounds = draw(st.lists(ORACLE_BOUNDS, min_size=1, max_size=4))
-    return [(call, bounds[i % len(bounds)]) for i, call in enumerate(calls)]
 
 
 class TestOracle:
@@ -171,8 +147,11 @@ class TestOracle:
         with pytest.raises(OracleBoundError):
             oracle_count(1, JBAR31, UNRESTRICTED)
 
-    def test_sweep_runs_one_pass_per_power_of_two(self, monkeypatch):
-        # one pass per top 1, 2, 4, ..., 256 and one capped at the bound
+    def test_refusal_names_the_order_asked_for(self):
+        with pytest.raises(OracleBoundError, match=r"^oracle refuses n=200 above its bound 120 "):
+            oracle_table(JBAR31, UNRESTRICTED, 200)
+
+    def test_one_pass_per_table_and_per_count(self, monkeypatch):
         monkeypatch.setenv("QPL_ORACLE_BOUND", "300")
         reaches = []
         members_upto = PartSet.members_upto
@@ -182,24 +161,23 @@ class TestOracle:
             return members_upto(part_set, n)
 
         monkeypatch.setattr(PartSet, "members_upto", recording)
-        _oracle_pass.cache_clear()
         table = oracle_table(JBAR31, at_most(3), 300)
-        info = _oracle_pass.cache_info()
-        assert (info.misses, info.hits) == (10, 291)
-        assert reaches == [1, 2, 4, 8, 16, 32, 64, 128, 256, 300]
+        assert reaches == [300]
+        assert oracle_count(77, JBAR31, at_most(3)) == table.coeffs[77]
+        assert reaches == [300, 77]
         assert table == gf_count(JBAR31, at_most(3), 300)
 
     @settings(deadline=None)
-    @given(oracle_call_plans())
-    def test_reused_passes_match_a_pass_per_n(self, plan):
-        _oracle_pass.cache_clear()
+    @given(st.sampled_from(SMALL_SETS), ORACLE_MODES, st.integers(0, 80), ORACLE_BOUNDS)
+    def test_table_prefix_matches_a_pass_per_n(self, part_set, mode, order, bound):
+        # ways[n] of a pass to the order equals ways[n] of a pass to n
         with pytest.MonkeyPatch.context() as mp:
-            for (part_set, mode, n), bound in plan:
-                if bound is None:
-                    mp.delenv("QPL_ORACLE_BOUND", raising=False)
-                else:
-                    mp.setenv("QPL_ORACLE_BOUND", str(bound))
-                assert oracle_count(n, part_set, mode) == per_n_count(n, part_set, mode)
+            if bound is None:
+                mp.delenv("QPL_ORACLE_BOUND", raising=False)
+            else:
+                mp.setenv("QPL_ORACLE_BOUND", str(bound))
+            table = oracle_table(part_set, mode, order)
+        assert table.coeffs == tuple(per_n_count(n, part_set, mode) for n in range(order + 1))
 
     @pytest.mark.parametrize("part_set", SMALL_SETS, ids=lambda s: s.label())
     @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
@@ -230,6 +208,13 @@ class TestOracle:
             CountMode(0)
         assert CountMode(None, True).gamma == -1
         assert CountMode(2).gamma == 1
+
+    @pytest.mark.parametrize("cap", [1.5, 2.0, "2"])
+    def test_non_integer_cap_rejected(self, cap):
+        # CountMode(1.5) once constructed and raised a TypeError in the first count
+        message = f"multiplicity cap must be an integer, got {cap!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            CountMode(cap)
 
 
 class TestGeneratingFunctions:

@@ -1,5 +1,7 @@
 """Part-set membership, bounded enumeration, parsing, scaling."""
 
+import re
+
 import pytest
 
 from qpl.errors import ParameterError
@@ -103,6 +105,21 @@ class TestFamilies:
             PartSet.with_multiples(3, 0)
         with pytest.raises(ParameterError):
             PartSet.finite_prefix(2, 1, 3)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            # explicit([2.7]) once became set:2 and counted parts of size 2
+            (lambda: PartSet.explicit([2.7]), "explicit part must be an integer, got 2.7"),
+            (lambda: PartSet.explicit([1, "3"]), "explicit part must be an integer, got '3'"),
+            (lambda: PartSet.finite_prefix(5, 2, 2.0), "prefix length s must be an integer, got 2.0"),
+            (lambda: PartSet.multiples(2.5), "k must be an integer, got 2.5"),
+            (lambda: PartSet.residues(4, 1.5), "ell must be an integer, got 1.5"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestParse:
