@@ -62,13 +62,31 @@ from .identities import (
     verify_sylvester,
     verify_triple_product,
 )
-from .theta import (
-    ThetaPoint,
-    aux_theta,
-    quasi_periodicity_residual,
-    theta_class,
-    theta_product,
-    theta_series,
-)
 
 __version__ = "0.1.0"
+
+# qpl.theta is loaded on first use of it or of one of its names, so the
+# exact commands do not pay for importing it (PEP 562)
+_THETA_NAMES = frozenset(
+    {
+        "ThetaPoint",
+        "aux_theta",
+        "quasi_periodicity_residual",
+        "theta_class",
+        "theta_product",
+        "theta_series",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name == "theta" or name in _THETA_NAMES:
+        import importlib
+
+        theta = importlib.import_module(".theta", __name__)
+        return theta if name == "theta" else getattr(theta, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# ``from qpl import *`` still binds every public name, the theta ones included
+__all__ = sorted({n for n in globals() if not n.startswith("_")} | _THETA_NAMES | {"theta"})

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 from .divisors import DIVISOR_METHODS, divisor_sums
@@ -28,7 +27,6 @@ from .partitions import (
     recursion_table,
 )
 from .partsets import parse_part_set
-from .theta import ThetaPoint, aux_theta, quasi_periodicity_residual, substituted_point
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -55,6 +53,8 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def _json_text(payload) -> str:
+    import json  # only the JSON outputs load it
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -253,6 +253,9 @@ def _attach_theta_values(argv: list[str]) -> list[str]:
 
 
 def _cmd_theta(args) -> int:
+    # the only command that evaluates theta, so the only one that loads it
+    from .theta import ThetaPoint, aux_theta, quasi_periodicity_residual, substituted_point
+
     point = ThetaPoint.from_qz(_parse_complex(args.q), _parse_complex(args.z))
     try:
         sub = substituted_point(point, args.k, args.ell)

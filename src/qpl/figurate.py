@@ -7,13 +7,13 @@ figurate numbers M(j) = (k/2)j(j-1) + ell·j, defined for every integer j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from operator import index
 
 from .errors import ParameterError
 from .series import QSeries
+from .value import Value
 
 INTERIOR_HYPOTHESIS = "k >= 3, 0 < ell < k, ell != k/2"
 
@@ -24,20 +24,20 @@ class BoundaryClass(Enum):
     BOUNDARY_HALF = "boundary-half"  # k even, ell = k/2
 
 
-@dataclass(frozen=True, slots=True)
-class ModularParams:
+class ModularParams(Value):
     """The pair (k, ell) with k >= 1 and 0 <= ell <= k."""
 
+    __slots__ = ("k", "ell")
     k: int
     ell: int
 
-    def __post_init__(self) -> None:
-        if require_integer(self.k, "k") < 1:
+    def __init__(self, k: int, ell: int) -> None:
+        if require_integer(k, "k") < 1:
             raise ParameterError("k must be a positive integer")
-        if not 0 <= require_integer(self.ell, "ell") <= self.k:
-            raise ParameterError(
-                f"ell must satisfy 0 <= ell <= k, got ell={self.ell}, k={self.k}"
-            )
+        if not 0 <= require_integer(ell, "ell") <= k:
+            raise ParameterError(f"ell must satisfy 0 <= ell <= k, got ell={ell}, k={k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "ell", ell)
 
     @property
     def boundary_class(self) -> BoundaryClass:

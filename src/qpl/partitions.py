@@ -14,31 +14,33 @@ the length-signed variant weights a partition by (-1)^length.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache, reduce
-from typing import Iterator
 
 from .errors import NotInvertibleError, OracleBoundError, ParameterError
 from .figurate import ModularParams, require_integer, require_interior, signed_figurate_series
 from .partsets import PartSet
 from .reports import VerificationReport, compare_series
 from .series import QSeries, binomial_product, triple_pochhammer
+from .value import Value
 
 DEFAULT_ORACLE_BOUND = 120
 ORACLE_BOUND_ENV = "QPL_ORACLE_BOUND"
 
 
-@dataclass(frozen=True, slots=True)
-class CountMode:
+class CountMode(Value):
     """Multiplicity cap (None = unrestricted, 1 = distinct, d = at most d) and signing."""
 
-    max_multiplicity: int | None = None
-    length_signed: bool = False
+    __slots__ = ("max_multiplicity", "length_signed")
+    max_multiplicity: int | None
+    length_signed: bool
 
-    def __post_init__(self) -> None:
-        cap = self.max_multiplicity
+    def __init__(self, max_multiplicity: int | None = None, length_signed: bool = False) -> None:
+        cap = max_multiplicity
         if cap is not None and require_integer(cap, "multiplicity cap") < 1:
             raise ParameterError("multiplicity cap must be >= 1")
+        object.__setattr__(self, "max_multiplicity", max_multiplicity)
+        object.__setattr__(self, "length_signed", length_signed)
 
     @property
     def gamma(self) -> int:

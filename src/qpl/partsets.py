@@ -15,28 +15,37 @@ from the rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParameterError
 from .figurate import ModularParams, require_integer, require_interior
+from .value import Value
 
 __all__ = ["PartSet", "parse_part_set"]
 
 _KINDS = ("I", "J", "Jbar", "Js", "mult", "set")
 
 
-@dataclass(frozen=True, slots=True)
-class PartSet:
+class PartSet(Value):
     """Symbolic description of a set of positive integer parts."""
 
+    __slots__ = ("kind", "params", "s", "parts")
     kind: str
-    params: ModularParams | None = None
-    s: int | None = None
-    parts: frozenset[int] | None = None
+    params: ModularParams | None
+    s: int | None
+    parts: frozenset[int] | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown part-set kind {self.kind!r}")
+    def __init__(
+        self,
+        kind: str,
+        params: ModularParams | None = None,
+        s: int | None = None,
+        parts: frozenset[int] | None = None,
+    ) -> None:
+        if kind not in _KINDS:
+            raise ParameterError(f"unknown part-set kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "parts", parts)
 
     # constructors -------------------------------------------------------------
 
@@ -75,6 +84,8 @@ class PartSet:
     @classmethod
     def explicit(cls, parts) -> "PartSet":
         fs = frozenset(require_integer(p, "explicit part") for p in parts)
+        if not fs:
+            raise ParameterError("an explicit part set needs at least one part")
         if any(p < 1 for p in fs):
             raise ParameterError("explicit parts must be positive integers")
         return cls("set", parts=fs)

@@ -2,33 +2,50 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OrderMismatchError
 from .series import QSeries
+from .value import Value
 
 
-@dataclass(frozen=True, slots=True)
-class Mismatch:
+class Mismatch(Value):
     """First differing coefficient: q-exponent, optional z-exponent, both values."""
 
+    __slots__ = ("q_exponent", "lhs", "rhs", "z_exponent")
     q_exponent: int
     lhs: int
     rhs: int
-    z_exponent: int | None = None
+    z_exponent: int | None
+
+    def __init__(self, q_exponent: int, lhs: int, rhs: int, z_exponent: int | None = None) -> None:
+        object.__setattr__(self, "q_exponent", q_exponent)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "z_exponent", z_exponent)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Value):
+    __slots__ = ("identity", "parameters", "order", "passed", "mismatch")
     identity: str
     parameters: dict
     order: int
     passed: bool
-    mismatch: Mismatch | None = None
+    mismatch: Mismatch | None
 
-    def __post_init__(self) -> None:
-        if not self.passed and self.mismatch is None:
+    def __init__(
+        self,
+        identity: str,
+        parameters: dict,
+        order: int,
+        passed: bool,
+        mismatch: Mismatch | None = None,
+    ) -> None:
+        if not passed and mismatch is None:
             raise ValueError("a failing report must carry its first mismatch")
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "parameters", parameters)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "mismatch", mismatch)
 
     def to_json_dict(self) -> dict:
         out = {

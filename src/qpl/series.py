@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, index, mul, sub
 
 from .errors import NotInvertibleError, OrderMismatchError, ParameterError
+from .value import Value
 
 __all__ = [
     "PackedZRows",
@@ -27,15 +27,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class QSeries:
+class QSeries(Value):
     """Formal power series in q, truncated after the coefficient of q^order."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) < 1:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) < 1:
             raise ValueError("a QSeries needs at least its constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
 
     # construction -----------------------------------------------------------
 
@@ -249,8 +250,7 @@ class QSeries:
         return f"QSeries(order={self.order}: {self.terms_str()})"
 
 
-@dataclass(frozen=True, slots=True)
-class ZLaurentSeries:
+class ZLaurentSeries(Value):
     """Laurent polynomial in z whose coefficients are QSeries of one shared q-order.
 
     The support is the inclusive z-exponent range [zlo, zlo + len(zcoeffs) - 1].
@@ -259,16 +259,19 @@ class ZLaurentSeries:
     reference. It stays in the package while perfbench/spans.py traces __mul__.
     """
 
+    __slots__ = ("zlo", "zcoeffs")
     zlo: int
     zcoeffs: tuple[QSeries, ...]
 
-    def __post_init__(self) -> None:
-        if not self.zcoeffs:
+    def __init__(self, zlo: int, zcoeffs: tuple[QSeries, ...]) -> None:
+        if not zcoeffs:
             raise ValueError("support must contain at least one z-exponent")
-        order = self.zcoeffs[0].order
-        for s in self.zcoeffs[1:]:
+        order = zcoeffs[0].order
+        for s in zcoeffs[1:]:
             if s.order != order:
                 raise OrderMismatchError("all z-coefficients must share one q-order")
+        object.__setattr__(self, "zlo", zlo)
+        object.__setattr__(self, "zcoeffs", zcoeffs)
 
     @classmethod
     def one(cls, order: int) -> "ZLaurentSeries":
@@ -416,15 +419,21 @@ def binomial_product(order: int, terms) -> QSeries:
     return QSeries(_decode(x, slot_bytes, order))
 
 
-@dataclass(frozen=True, slots=True)
-class PackedZRows:
+class PackedZRows(Value):
     """The z-rows -margin..margin of a two-variable series, each packed into
     one int with a non-negative slot per q-exponent and unpacked only when read."""
 
+    __slots__ = ("margin", "packed", "slot_bytes", "order")
     margin: int
     packed: tuple[int, ...]
     slot_bytes: int
     order: int
+
+    def __init__(self, margin: int, packed: tuple[int, ...], slot_bytes: int, order: int) -> None:
+        object.__setattr__(self, "margin", margin)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "slot_bytes", slot_bytes)
+        object.__setattr__(self, "order", order)
 
     def zcoeff(self, j: int) -> QSeries:
         """Coefficient of z^j; zero outside the stored rows."""

@@ -19,7 +19,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+
+from .value import Value
 
 __all__ = [
     "ThetaPoint",
@@ -37,21 +38,28 @@ _TWO_PI_I = 2j * math.pi
 MAX_PAIRS = 100_000
 
 
-@dataclass(frozen=True)
-class ThetaPoint:
+class ThetaPoint(Value):
     """Evaluation point: q with |q| < 1 strictly, z nonzero.
 
     May carry the (nu, tau) coordinates it was converted from, in which case
     q = exp(2*pi*i*tau) and z = exp(2*pi*i*nu) with Im(tau) > 0.
     """
 
+    __slots__ = ("q", "z", "nu", "tau")
     q: complex
     z: complex
-    nu: complex | None = None
-    tau: complex | None = None
+    nu: complex | None
+    tau: complex | None
 
-    def __post_init__(self) -> None:
-        _check_qz(self.q, self.z)
+    def __init__(
+        self, q: complex, z: complex, nu: complex | None = None, tau: complex | None = None
+    ) -> None:
+        # q and z are kept as given: from_qz is the constructor that coerces them
+        _check_qz(q, z)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "tau", tau)
 
     @classmethod
     def from_qz(cls, q: complex, z: complex) -> "ThetaPoint":

@@ -1,7 +1,6 @@
 """Command-line surface: output formats, exit codes, cross-check flags."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import re
@@ -20,6 +19,7 @@ import qpl.partitions
 from qpl.cli import main
 from qpl.errors import ParameterError
 from qpl.reports import Mismatch, VerificationReport
+from qpl.series import QSeries
 
 IDENTITIES = (
     "triple_product", "specialized", "berger", "hermite", "boundary_half",
@@ -264,7 +264,7 @@ class TestDivisors:
             table = real(params, order)
             values = list(table.coeffs)
             values[3] += 1
-            return dataclasses.replace(table, coeffs=tuple(values))
+            return QSeries(tuple(values))
 
         monkeypatch.setattr(qpl.divisors, "recursive_divisor_sums", corrupted)
         code, out, _ = run(
@@ -592,6 +592,61 @@ class TestOutputFile:
             code, _, _ = run(capsys, *argv, "--format", fmt)
             assert code == 0
         assert built == [fmt] * len(invocations)
+
+
+class TestStartup:
+    """What a fresh `import qpl.cli` and each command load, against a `pass` child."""
+
+    def test_cli_import_loads_no_theta_json_or_dataclasses(self, newly_loaded):
+        new = newly_loaded("import qpl.cli")
+        assert {"qpl", "qpl.partitions", "qpl.identities", "qpl.divisors"} <= new
+        assert not new & {"dataclasses", "qpl.theta", "json", "concurrent.futures"}
+
+    def test_gf_count_is_bound_where_the_tracer_looks(self):
+        # the benchmark's tracer patches module namespaces, not lazy lookups
+        import qpl
+
+        gf = qpl.partitions.gf_count
+        for module in (qpl, qpl.partitions, qpl.identities, qpl.divisors, qpl.cli):
+            assert vars(module)["gf_count"] is gf, module.__name__
+
+    def test_theta_names_load_theta_on_use(self, newly_loaded):
+        new = newly_loaded(
+            "import qpl\n"
+            "assert 'qpl.theta' not in sys.modules\n"
+            "from qpl import ThetaPoint, theta_series\n"
+            "assert (ThetaPoint, theta_series) == (qpl.theta.ThetaPoint, qpl.theta.theta_series)\n"
+        )
+        assert "qpl.theta" in new
+
+    def test_unknown_package_attribute_is_an_attribute_error(self):
+        import qpl
+
+        with pytest.raises(AttributeError, match="has no attribute 'nosuch'"):
+            qpl.nosuch
+
+    @pytest.mark.parametrize(
+        "argv,theta,json_",
+        [
+            (["partitions", "--set", "J:5,2", "--n", "30", "--check"], False, False),
+            (["partitions", "--set", "J:5,2", "--n", "30", "--format", "json"], False, True),
+            (["divisors", "--k", "5", "--ell", "2", "--n", "30", "--check"], False, False),
+            (["figurate", "--k", "5", "--ell", "2", "--bound", "4"], False, False),
+            (["verify", "--identity", "kim", "--order", "10"], False, True),
+            (["theta", "--q", "0.3,0", "--z", "1,0"], True, True),
+        ],
+    )
+    def test_each_command_loads_theta_and_json_only_if_it_uses_them(
+        self, newly_loaded, argv, theta, json_
+    ):
+        new = newly_loaded(
+            "import contextlib, io\n"
+            "from qpl.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+        )
+        assert ("qpl.theta" in new, "json" in new) == (theta, json_)
+        assert "dataclasses" not in new
 
 
 class TestOutOfMemory:

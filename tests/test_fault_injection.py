@@ -1,7 +1,6 @@
 """Every verifier can fail: corrupting one coefficient of one kernel result
 yields a failing report located at the corrupted exponent."""
 
-import dataclasses
 
 import pytest
 
@@ -69,7 +68,7 @@ def corrupt(monkeypatch, module, name, e, *key):
         values = list(table.coeffs)
         truth.append(values[e])
         values[e] += 1
-        return dataclasses.replace(table, coeffs=tuple(values))
+        return QSeries(tuple(values))
 
     monkeypatch.setattr(module, name, corrupted)
     return truth

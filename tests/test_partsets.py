@@ -121,6 +121,12 @@ class TestFamilies:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             build()
 
+    @pytest.mark.parametrize("parts", [[], (), iter([])])
+    def test_explicit_needs_a_part(self, parts):
+        # an empty set would be labelled "set:", which parse_part_set refuses
+        with pytest.raises(ParameterError, match="^an explicit part set needs at least one part$"):
+            PartSet.explicit(parts)
+
 
 class TestParse:
     @pytest.mark.parametrize(
