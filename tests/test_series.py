@@ -478,15 +478,15 @@ def test_slot_width_holds_the_unsigned_product(battery_terms):
 
 def test_kernel_sizes_slots_for_twice_the_unsigned_product(monkeypatch):
     # the bound has bits to spare, so a missing sign bit shows in no output:
-    # check that the kernel asks _slot_bytes for 2·U, the extra factor 1 + q^0
+    # check that the kernel asks _slot_widths for 2·U, the extra factor 1 + q^0
     asked = []
-    real = qpl.series._slot_bytes
+    real = qpl.series._slot_widths
 
     def recorded(order, exps):
         asked.append(sorted(exps))
         return real(order, exps)
 
-    monkeypatch.setattr(qpl.series, "_slot_bytes", recorded)
+    monkeypatch.setattr(qpl.series, "_slot_widths", recorded)
     binomial_product(9, [(1, 2), (-1, 7), (1, 12), (-1, 2)])
     binomial_product(0, [(1, 1)])
     assert asked == [[0, 2, 2, 7], [0]]
@@ -494,7 +494,7 @@ def test_kernel_sizes_slots_for_twice_the_unsigned_product(monkeypatch):
 
 def product_at_width(monkeypatch, slot_bytes, order, terms):
     """binomial_product with every slot slot_bytes wide; None when it cannot decode."""
-    monkeypatch.setattr(qpl.series, "_slot_bytes", lambda order, exps: slot_bytes)
+    monkeypatch.setattr(qpl.series, "_slot_widths", lambda order, exps: [(0, slot_bytes)])
     try:
         return binomial_product(order, terms)
     except (OverflowError, struct.error):  # a value too wide for its slot
@@ -554,7 +554,7 @@ def test_slot_edge_values_decode_from_the_shift_loop(monkeypatch):
 
 def test_fold_boundary_matches_chain():
     # factors at order//2 stay in the shift loop, those from order//2 + 1 on
-    # are folded into one multiply; duplicates above the half add up there
+    # are the starting value 1 + S; duplicates above the half add up there
     for order in range(10):
         half = order // 2
         exps = sorted({e for e in (half, half + 1, order) if 1 <= e <= order + 1})
@@ -562,6 +562,80 @@ def test_fold_boundary_matches_chain():
         for length in range(4):
             for terms in product(options, repeat=length):
                 assert binomial_product(order, terms) == chained_product(order, terms)
+
+
+def record_widenings(monkeypatch):
+    """The (old, new) slot widths of every _widen call from now on."""
+    widened = []
+    real = qpl.series._widen
+
+    def recorded(packed, old, new, count):
+        widened.append((old, new))
+        return real(packed, old, new, count)
+
+    monkeypatch.setattr(qpl.series, "_widen", recorded)
+    return widened
+
+
+small_term = st.tuples(st.sampled_from([1, -1]), st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=20, max_value=200),
+    st.lists(signed_term, max_size=30),
+    st.lists(small_term, min_size=60, max_size=120),
+)
+def test_widened_products_match_chain(order, terms, small):
+    # many repeated small exponents raise the prefix bound byte by byte, so
+    # the kernel widens its slots at least three times on the way
+    with pytest.MonkeyPatch.context() as mp:
+        widened = record_widenings(mp)
+        got = binomial_product(order, terms + small)
+    assert len(widened) >= 3
+    assert got == chained_product(order, terms + small)
+
+
+def exact_widths(sign):
+    """A _slot_widths that gives each prefix of the exponents, in the order the
+    kernel applies them, exactly the bytes its signed partial product needs
+    (kept as a running maximum, since slots never narrow); the factor at e is
+    1 + sign(e)·q^e, and the leading e = 0 stands for no factor."""
+
+    def widths(order, exps):
+        out = []
+        partial = QSeries.one(order)
+        for k, e in enumerate(exps):
+            if e:
+                partial = partial.mul_binomial(sign(e), e)
+            need = max(map(abs, partial.coeffs)).bit_length() // 8 + 1
+            if not out or need > out[-1][1]:
+                out.append((k, need))
+        return out
+
+    return widths
+
+
+@pytest.mark.parametrize(
+    "order, exps",
+    [
+        (60, [1] * 30 + [2] * 25 + [3] * 20 + list(range(4, 61))),
+        (40, [1] * 40 + [2] * 40 + [5] * 10 + [21, 30, 40]),
+        (120, [m for m in range(1, 121) for _ in range(3)]),
+    ],
+)
+def test_slots_as_wide_as_each_prefix_needs(monkeypatch, order, exps):
+    # with no spare bits, a factor applied before its widening, a widening
+    # that loses the offset, or an order of factors other than the one the
+    # widths were computed for, each overflows a slot
+    def sign(e):
+        return -1 if e % 3 == 1 else 1
+
+    terms = [(sign(e), e) for e in exps]
+    monkeypatch.setattr(qpl.series, "_slot_widths", exact_widths(sign))
+    widened = record_widenings(monkeypatch)
+    assert binomial_product(order, terms) == chained_product(order, terms)
+    assert len(widened) >= 3
 
 
 def test_mul_edge_cases_match_schoolbook():
