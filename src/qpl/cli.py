@@ -15,7 +15,7 @@ import io
 import sys
 
 from .divisors import DIVISOR_METHODS, divisor_sums
-from .errors import OracleBoundError, ParameterError
+from .errors import ParameterError
 from .figurate import ModularParams, figurate_enumerate
 from .identities import battery, verify_identity
 from .partitions import (
@@ -376,7 +376,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ParameterError, OracleBoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"qpl: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

@@ -32,12 +32,13 @@ class ModularParams(Value):
     ell: int
 
     def __init__(self, k: int, ell: int) -> None:
-        if require_integer(k, "k") < 1:
+        k = require_integer(k, "k")
+        if k < 1:
             raise ParameterError("k must be a positive integer")
-        if not 0 <= require_integer(ell, "ell") <= k:
+        ell = require_integer(ell, "ell")
+        if not 0 <= ell <= k:
             raise ParameterError(f"ell must satisfy 0 <= ell <= k, got ell={ell}, k={k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "ell", ell)
+        super().__init__(k, ell)
 
     @property
     def boundary_class(self) -> BoundaryClass:

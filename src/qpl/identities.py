@@ -212,13 +212,9 @@ def verify_boundary_half(k: int, q_order: int) -> VerificationReport:
     extra = binomial_product(q_order, extra)
     quotient = numerator * denominator.reciprocal()
 
-    rhs = [0] * (q_order + 1)
-    rhs[0] = 1
-    j = 1
-    while half * j * j <= q_order:
-        rhs[half * j * j] += 2
-        j += 1
-    rep = compare_series("boundary_half", parameters, q_order, quotient, QSeries(tuple(rhs)))
+    # M(j) = (k/2)j^2 for (k, k/2), and the indices j and -j collide
+    rhs = signed_figurate_series(ModularParams(k, half), 1, q_order)
+    rep = compare_series("boundary_half", parameters, q_order, quotient, rhs)
     if not rep.passed:
         return rep
     return compare_series("boundary_half", parameters, q_order, extra, QSeries.one(q_order))

@@ -36,11 +36,11 @@ class CountMode(Value):
     length_signed: bool
 
     def __init__(self, max_multiplicity: int | None = None, length_signed: bool = False) -> None:
-        cap = max_multiplicity
-        if cap is not None and require_integer(cap, "multiplicity cap") < 1:
-            raise ParameterError("multiplicity cap must be >= 1")
-        object.__setattr__(self, "max_multiplicity", max_multiplicity)
-        object.__setattr__(self, "length_signed", length_signed)
+        if max_multiplicity is not None:
+            max_multiplicity = require_integer(max_multiplicity, "multiplicity cap")
+            if max_multiplicity < 1:
+                raise ParameterError("multiplicity cap must be >= 1")
+        super().__init__(max_multiplicity, length_signed)
 
     @property
     def gamma(self) -> int:

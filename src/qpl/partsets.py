@@ -42,10 +42,7 @@ class PartSet(Value):
     ) -> None:
         if kind not in _KINDS:
             raise ParameterError(f"unknown part-set kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "parts", parts)
+        super().__init__(kind, params, s, parts)
 
     # constructors -------------------------------------------------------------
 
@@ -71,7 +68,8 @@ class PartSet(Value):
     @classmethod
     def finite_prefix(cls, k: int, ell: int, s: int) -> "PartSet":
         """First s members of each of the two progressions; interior only."""
-        if require_integer(s, "prefix length s") < 1:
+        s = require_integer(s, "prefix length s")
+        if s < 1:
             raise ParameterError("prefix length s must be >= 1")
         params = ModularParams(k, ell)
         require_interior(params, "the finite prefix family")

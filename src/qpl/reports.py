@@ -17,10 +17,7 @@ class Mismatch(Value):
     z_exponent: int | None
 
     def __init__(self, q_exponent: int, lhs: int, rhs: int, z_exponent: int | None = None) -> None:
-        object.__setattr__(self, "q_exponent", q_exponent)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "z_exponent", z_exponent)
+        super().__init__(q_exponent, lhs, rhs, z_exponent)
 
 
 class VerificationReport(Value):
@@ -41,11 +38,7 @@ class VerificationReport(Value):
     ) -> None:
         if not passed and mismatch is None:
             raise ValueError("a failing report must carry its first mismatch")
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "parameters", parameters)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "mismatch", mismatch)
+        super().__init__(identity, parameters, order, passed, mismatch)
 
     def to_json_dict(self) -> dict:
         out = {

@@ -37,7 +37,7 @@ class QSeries(Value):
     def __init__(self, coeffs: tuple[int, ...]) -> None:
         if len(coeffs) < 1:
             raise ValueError("a QSeries needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     # construction -----------------------------------------------------------
 
@@ -271,8 +271,7 @@ class ZLaurentSeries(Value):
         for s in zcoeffs[1:]:
             if s.order != order:
                 raise OrderMismatchError("all z-coefficients must share one q-order")
-        object.__setattr__(self, "zlo", zlo)
-        object.__setattr__(self, "zcoeffs", zcoeffs)
+        super().__init__(zlo, zcoeffs)
 
     @classmethod
     def one(cls, order: int) -> "ZLaurentSeries":
@@ -442,12 +441,6 @@ class PackedZRows(Value):
     slot_bytes: int
     order: int
 
-    def __init__(self, margin: int, packed: tuple[int, ...], slot_bytes: int, order: int) -> None:
-        object.__setattr__(self, "margin", margin)
-        object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "slot_bytes", slot_bytes)
-        object.__setattr__(self, "order", order)
-
     def zcoeff(self, j: int) -> QSeries:
         """Coefficient of z^j; zero outside the stored rows."""
         idx = j + self.margin
@@ -465,8 +458,7 @@ def triple_product_rows(order: int, factors: int) -> PackedZRows:
     identity, whose rows |j| > s are zero.
 
     A term of z^j uses at least |j| z-moves with distinct q-costs, so row j
-    is zero below q^{j(j-1)/2} in every partial product, and row updates
-    skip sources whose shifted copy starts past the order. Rows -B..B are
+    is zero below q^{j(j-1)/2} in every partial product. Rows -B..B are
     stored, B the least margin with B(B-1)/2 > order: rows j >= B and
     j <= -(B-1) lie wholly past q^order, and every factor only raises
     q-exponents, so the descendants of a term that leaves the stored rows
@@ -494,7 +486,6 @@ def triple_product_rows(order: int, factors: int) -> PackedZRows:
     while b * (b - 1) // 2 <= n:
         b += 1
     size = 2 * b + 1
-    zero_below = [(idx - b) * (idx - b - 1) // 2 for idx in range(size)]
     slot_bytes = _slot_bytes(n, [0] + [m for m in range(1, n + 1) for _ in range(2)])
     width = 8 * slot_bytes
     rows = [0] * size
@@ -505,15 +496,13 @@ def triple_product_rows(order: int, factors: int) -> PackedZRows:
         keep = (1 << width * (n + 1 - s)) - 1
         shift = width * s
         for idx in range(size - 1, 0, -1):
-            if s + zero_below[idx - 1] <= n:
-                rows[idx] += (rows[idx - 1] & keep) << shift
+            rows[idx] += (rows[idx - 1] & keep) << shift
         if m <= n:
             # (1 + q^m z^{-1}), ascending for the same reason
             keep = (1 << width * (n + 1 - m)) - 1
             shift = width * m
             for idx in range(size - 1):
-                if m + zero_below[idx + 1] <= n:
-                    rows[idx] += (rows[idx + 1] & keep) << shift
+                rows[idx] += (rows[idx + 1] & keep) << shift
     return PackedZRows(b, tuple(rows), slot_bytes, n)
 
 
@@ -594,8 +583,6 @@ def _slot_widths(order: int, exps) -> list[tuple[int, int]]:
     is taken as if the order were 1, which is just another x. Each factor
     raises U(x), so widths only grow, and bisection finds where they change.
     """
-    if not exps:
-        return [(0, 1)]
     t = math.pi * math.sqrt(len(exps) / 12) / max(order, 1)
     log_u = list(accumulate(map(math.log1p, map(math.exp, map(mul, exps, repeat(-t))))))
 

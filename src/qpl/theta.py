@@ -56,10 +56,7 @@ class ThetaPoint(Value):
     ) -> None:
         # q and z are kept as given: from_qz is the constructor that coerces them
         _check_qz(q, z)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "tau", tau)
+        super().__init__(q, z, nu, tau)
 
     @classmethod
     def from_qz(cls, q: complex, z: complex) -> "ThetaPoint":

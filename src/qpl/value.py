@@ -1,7 +1,8 @@
 """The immutable value base of qpl's parameter, series and report classes.
 
-A subclass names its fields in ``__slots__`` and sets them in ``__init__``
-through ``object.__setattr__``.  Equality compares the type and the fields,
+A subclass names its fields in ``__slots__``; its ``__init__`` validates the
+arguments and passes them, in slot order, to ``Value.__init__``, the one
+place that sets a field.  Equality compares the type and the fields,
 the hash is the hash of the fields, and the repr is ``Name(field=value, ...)``,
 so equal instances hit the same memo entry.  No code is generated, which
 keeps ``import qpl`` cheap.
@@ -14,6 +15,10 @@ class Value:
     """Immutable object whose fields are the names in its class's ``__slots__``."""
 
     __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -32,8 +32,13 @@ SETS = ("J:5,2", "Jbar:5,2", "J:4,1", "Jbar:3,1")
 MODES = (UNRESTRICTED, SIGNED_DISTINCT, at_most(2), at_most(3, True))
 ORDER = 60
 
-# every route builds its result as a QSeries and reads the mode's sign
-VOCABULARY = {"qpl.series.QSeries.__init__", "qpl.partitions.CountMode.gamma"}
+# every route builds its result as a QSeries, which enters the base
+# constructor, and reads the mode's sign
+VOCABULARY = {
+    "qpl.series.QSeries.__init__",
+    "qpl.value.Value.__init__",
+    "qpl.partitions.CountMode.gamma",
+}
 
 COUNTING_SHARED = {
     # both enumerate the part set's members, the set's own rule
@@ -60,6 +65,8 @@ PARAMS = {
     "qpl.figurate.ModularParams.is_interior",
     "qpl.figurate.require_interior",
     "qpl.series.QSeries.__init__",
+    # every route builds a QSeries, which enters the base constructor
+    "qpl.value.Value.__init__",
 }
 
 DIVISOR_SHARED = {

@@ -2,10 +2,14 @@
 hashing that keeps the memos hitting, and no assignment after construction."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 
+import qpl
 from qpl.figurate import ModularParams
 from qpl.partitions import UNRESTRICTED, CountMode, _gf_product, gf_count
 from qpl.partsets import PartSet
@@ -55,6 +59,52 @@ EXAMPLES = _examples()
 IDS = [text.split("(", 1)[0] + str(i) for i, (_, text) in enumerate(EXAMPLES)]
 
 
+def _qpl_value_classes():
+    """Every Value subclass defined in a qpl module, each module imported first."""
+    for info in pkgutil.iter_modules(qpl.__path__):
+        importlib.import_module(f"qpl.{info.name}")
+    found, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("qpl."):
+                found.add(cls)
+    return sorted(found, key=lambda cls: cls.__qualname__)
+
+
+VALUE_CLASSES = _qpl_value_classes()
+
+
+def test_every_value_class_has_an_example():
+    assert len(VALUE_CLASSES) == 9
+    assert {type(build()) for build, _ in EXAMPLES} == set(VALUE_CLASSES)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda cls: cls.__qualname__)
+def test_constructors_take_the_slots_in_order(cls):
+    # pickling and the base constructor both pass the fields in slot order
+    if "__init__" in vars(cls):
+        names = list(inspect.signature(cls.__init__).parameters)[1:]
+        assert names == list(cls.__slots__)
+
+
+def test_the_base_constructor_needs_every_field():
+    with pytest.raises(ValueError):
+        PackedZRows(1, (1, 2, 3), 2)
+    with pytest.raises(ValueError):
+        PackedZRows(1, (1, 2, 3), 2, 0, 0)
+
+
+def test_validated_integer_fields_hold_exact_ints():
+    params = ModularParams(True, 0)
+    assert type(params.k) is int and params.k == 1
+    assert type(ModularParams(3, True).ell) is int
+    mode = CountMode(True)
+    assert type(mode.max_multiplicity) is int and mode.max_multiplicity == 1
+    prefix = PartSet.finite_prefix(5, 2, True)
+    assert type(prefix.s) is int and prefix.s == 1
+
+
 @pytest.mark.parametrize("build,text", EXAMPLES, ids=IDS)
 def test_repr_is_the_dataclass_one(build, text):
     assert repr(build()) == text
@@ -97,8 +147,7 @@ class _Twin(Value):
     __slots__ = ("q_exponent", "lhs", "rhs", "z_exponent")
 
     def __init__(self, q_exponent, lhs, rhs, z_exponent=None):
-        for name, value in zip(self.__slots__, (q_exponent, lhs, rhs, z_exponent)):
-            object.__setattr__(self, name, value)
+        super().__init__(q_exponent, lhs, rhs, z_exponent)
 
 
 def test_equality_compares_the_type():
