@@ -468,7 +468,7 @@ def triple_product_rows(order: int, factors: int) -> PackedZRows:
 
     The factors go from the largest m down: row j of a product of large-m
     factors starts far above q^{j(j-1)/2}, so most masked sources are 0 (at
-    order 400, 4755 of 30240 row updates add a nonzero one; 28719 going up).
+    order 400, 4755 of 46458 row updates add a nonzero one; 28719 going up).
 
     Multiplying by (1 + q^s z^{±1}) adds to each row a masked, shifted copy
     of its neighbour. Every factor has non-negative coefficients and
