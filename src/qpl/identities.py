@@ -25,7 +25,7 @@ from .partitions import (
     partition_shift_identities,
 )
 from .reports import VerificationReport, compare_series
-from .series import QSeries, binomial_product, triple_pochhammer, triple_product_rows
+from .series import QSeries, binomial_product, inverse_terms, triple_pochhammer, triple_product_rows
 
 
 # --------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def verify_boundary_half(k: int, q_order: int) -> VerificationReport:
           = sum_j q^{(k/2)j^2}
     (b) prod (1+q^{km})(1+q^{km-k/2})(1-q^{km-k/2}) = 1
 
-    The quotient in (a) goes through the exact series reciprocal.
+    The quotient in (a) is one binomial_product, its denominator by inverse_terms.
     """
     if k < 2 or k % 2:
         raise ParameterError("the half-boundary identities need an even k >= 2")
@@ -207,10 +207,8 @@ def verify_boundary_half(k: int, q_order: int) -> VerificationReport:
         denominator += [(1, k * m), (-1, k * m - half)]
         extra += [(1, k * m), (1, k * m - half), (-1, k * m - half)]
         m += 1
-    numerator = binomial_product(q_order, numerator)
-    denominator = binomial_product(q_order, denominator)
+    quotient = binomial_product(q_order, numerator + inverse_terms(denominator, q_order))
     extra = binomial_product(q_order, extra)
-    quotient = numerator * denominator.reciprocal()
 
     # M(j) = (k/2)j^2 for (k, k/2), and the indices j and -j collide
     rhs = signed_figurate_series(ModularParams(k, half), 1, q_order)

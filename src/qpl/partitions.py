@@ -21,7 +21,7 @@ from .errors import NotInvertibleError, OracleBoundError, ParameterError
 from .figurate import ModularParams, require_integer, require_interior, signed_figurate_series
 from .partsets import PartSet
 from .reports import VerificationReport, compare_series
-from .series import QSeries, binomial_product, triple_pochhammer
+from .series import QSeries, _pochhammer_terms, binomial_product, inverse_terms
 from .value import Value
 
 DEFAULT_ORACLE_BOUND = 120
@@ -186,21 +186,14 @@ def gf_count(part_set: PartSet, mode: CountMode, order: int) -> QSeries:
 def _gf_product(members: tuple[int, ...], mode: CountMode, order: int) -> QSeries:
     """The product as one binomial_product term list.
 
-    A division 1/(1 - γq^m) becomes (1 + γq^m)(1 + q^{2m})(1 + q^{4m})... up
-    to the order, since 1/(1 - x) = prod_{t>=0} (1 + x^{2^t}) and γ^2 = 1;
+    The divisions 1/(1 - γq^m) become inverse_terms of the factors (1 - γq^m);
     a cap of d adds the numerators (1 - γ^{d+1} q^{(d+1)m}).
     """
     g = mode.gamma
     cap = mode.max_multiplicity
     if cap == 1:
         return binomial_product(order, [(g, m) for m in members])
-    terms = []
-    for m in members:
-        terms.append((g, m))
-        e = 2 * m
-        while e <= order:
-            terms.append((1, e))
-            e *= 2
+    terms = inverse_terms([(-g, m) for m in members], order)
     if cap is not None:
         g_top = g if (cap + 1) % 2 else 1  # γ^{d+1}
         terms.extend((-g_top, (cap + 1) * m) for m in members)
@@ -211,13 +204,17 @@ def quotient_series(
     params1: ModularParams, gamma1: int, params2: ModularParams, gamma2: int, order: int
 ) -> QSeries:
     """Series expansion of the quotient whose numerator carries (params2, γ2)
-    and denominator (params1, γ1); the generating-function route for the
-    quotient-sequence recursion."""
+    and denominator (params1, γ1), each a triple_pochhammer product, as one
+    binomial_product; the generating-function route for the quotient sequences."""
     if gamma1 not in (1, -1) or gamma2 not in (1, -1):
         raise ParameterError("gamma values must be +1 or -1")
-    num = triple_pochhammer(params2.k, params2.ell, gamma2, order)
-    den = triple_pochhammer(params1.k, params1.ell, -gamma1, order)
-    return num * den.reciprocal()
+    num_const, num = _pochhammer_terms(params2.k, params2.ell, gamma2, order)
+    den_const, den = _pochhammer_terms(params1.k, params1.ell, -gamma1, order)
+    if den_const != 1:
+        raise NotInvertibleError(
+            f"constant term must be +1 or -1 to invert exactly, got {den_const}"
+        )
+    return binomial_product(order, num + inverse_terms(den, order)).scale(num_const)
 
 
 # --------------------------------------------------------------------------
@@ -239,10 +236,10 @@ def _figurate_quotient(num: QSeries, den: QSeries) -> QSeries:
 
         vals[n] = num[n] - sum_{m >= 1, den[m] != 0} den[m]·vals[n - m].
 
-    Deliberately not QSeries.reciprocal: the generating-function route
-    (quotient_series) inverts triple_pochhammer(k, ell, -γ), which equals
-    T((k, ell), -γ) by the specialized identity, so a reciprocal bug shared by
-    both routes would cancel out of their cross-check.
+    Deliberately not inverse_terms: the generating-function route
+    (quotient_series) inverts the factors of triple_pochhammer(k, ell, -γ) with
+    it, which equals T((k, ell), -γ) by the specialized identity, so an
+    inversion bug shared by both routes would cancel out of their cross-check.
     """
     den._require_same_order(num)
     if den[0] != 1:

@@ -23,6 +23,7 @@ __all__ = [
     "QSeries",
     "ZLaurentSeries",
     "binomial_product",
+    "inverse_terms",
     "triple_pochhammer",
     "triple_product_rows",
 ]
@@ -352,22 +353,22 @@ def triple_pochhammer(k: int, ell: int, sign: int, order: int) -> QSeries:
 
 @lru_cache(maxsize=10)
 def _pochhammer_product(k: int, ell: int, sign: int, order: int) -> QSeries:
-    if sign == -1 and ell == 0:
-        return QSeries.zero(order)
-    const = 1
+    const, terms = _pochhammer_terms(k, ell, sign, order)
+    return binomial_product(order, terms).scale(const)
+
+
+def _pochhammer_terms(k: int, ell: int, sign: int, order: int) -> tuple[int, list]:
+    """triple_pochhammer's factors as (const, binomial_product terms): const is
+    the exponent-zero factor 1 + sign for ell = 0 or k (m = 1), else 1."""
+    if ell in (0, k) and sign == -1:
+        return 0, []
     terms = []
     m = 1
-    while True:
-        exps = (k * m, k * m - ell, k * (m - 1) + ell)
-        if min(exps) > order:
-            break
-        for e, c in ((exps[0], -1), (exps[1], sign), (exps[2], sign)):
-            if e == 0:
-                const *= 1 + c
-            else:
-                terms.append((c, e))
+    while min(k * m - ell, k * (m - 1) + ell) <= order:
+        factors = ((-1, k * m), (sign, k * m - ell), (sign, k * (m - 1) + ell))
+        terms += [(c, e) for c, e in factors if e]
         m += 1
-    return binomial_product(order, terms).scale(const)
+    return (2 if ell in (0, k) else 1), terms
 
 
 def binomial_product(order: int, terms) -> QSeries:
@@ -429,6 +430,19 @@ def binomial_product(order: int, terms) -> QSeries:
         else:
             x = (x - (x << width * e)) & mask
     return QSeries(_decode(x, slot_bytes, order))
+
+
+def inverse_terms(terms, order: int) -> list[tuple[int, int]]:
+    """The binomial_product terms of 1/prod (1 + c·q^e) over (c, e) in ``terms``:
+    since 1/(1 - x) = prod_{t>=0} (1 + x^{2^t}) and c^2 = 1, each factor in turn
+    gives (-c, e), then (1, 2e), (1, 4e), ... up to ``order``."""
+    out = []
+    for c, e in terms:
+        out.append((-c, e))
+        while 0 < e <= order // 2:
+            e *= 2
+            out.append((1, e))
+    return out
 
 
 class PackedZRows(Value):

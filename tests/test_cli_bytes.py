@@ -16,9 +16,10 @@ the digest the code before that change printed for the same line with
 `--check` row to its first output with three columns, every row of which
 says `yes`.
 
-The order-400 battery is the benchmark's headline run; its digest is read
-from perfbench/golden.json rather than copied here, so tier-1 and the
-benchmark check the same bytes.
+Every invocation the benchmark runs, the order-400 battery among them, is
+checked against its digest in perfbench/golden.json rather than a copy here,
+so tier-1 and the benchmark check the same bytes; perfbench/make_golden.py
+is that file's only writer.
 """
 
 import contextlib
@@ -179,21 +180,30 @@ def test_stdout_bytes_unchanged(argv, monkeypatch):
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-BATTERY_400 = ("verify", "--all", "--grid", "k=3..8", "--order", "400")
 
 
-def test_battery_400_bytes_match_benchmark_golden(monkeypatch):
+def golden_digests() -> dict[str, str]:
+    """perfbench/golden.json's digests, keyed "[NAME=VALUE ...] qpl argv"."""
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+
+
+@pytest.mark.parametrize("key", sorted(golden_digests()))
+def test_benchmark_golden_digest(key, monkeypatch):
+    # every invocation the benchmark runs, in-process: its environment
+    # prefix set, the rest of its key the argv after "qpl"
     monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
-    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
-    assert run_digest(BATTERY_400) == (0, digests["qpl " + " ".join(BATTERY_400)])
+    words = key.split()
+    while "=" in words[0]:
+        name, value = words.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
+    assert words.pop(0) == "qpl"
+    assert run_digest(words) == (0, golden_digests()[key])
 
 
-def test_battery_jobs2_bytes_match_benchmark_golden(monkeypatch):
+def test_battery_jobs2_bytes_match_benchmark_golden():
     # --jobs is accepted and changes nothing: the golden bytes of the order-200
-    # battery with --jobs 2 are those of the same run without it
-    monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
-    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
-    serial = ("verify", "--all", "--grid", "k=3..8", "--order", "200")
-    jobs2 = (*serial, "--jobs", "2")
-    assert digests["qpl " + " ".join(jobs2)] == digests["qpl " + " ".join(serial)]
-    assert run_digest(jobs2) == (0, digests["qpl " + " ".join(jobs2)])
+    # battery with --jobs 2 are those of the same run without it, and
+    # test_benchmark_golden_digest runs both
+    digests = golden_digests()
+    serial = "qpl verify --all --grid k=3..8 --order 200"
+    assert digests[serial + " --jobs 2"] == digests[serial]

@@ -191,18 +191,23 @@ def test_hermite_substituted_stage(monkeypatch):
 
 
 def test_boundary_half(monkeypatch):
-    real = QSeries.reciprocal
+    real = qpl.identities.binomial_product
+    calls = []
 
-    def corrupted(series):
-        inverse = real(series)
-        coeffs = list(inverse.coeffs)
+    def corrupted(order, terms):
+        product = real(order, terms)
+        calls.append(order)
+        if len(calls) > 1:
+            return product
+        coeffs = list(product.coeffs)
         coeffs[E] += 1
         return QSeries(tuple(coeffs))
 
-    monkeypatch.setattr(QSeries, "reciprocal", corrupted)
-    # the numerator has constant term 1, so the quotient moves by 1 at E;
+    monkeypatch.setattr(qpl.identities, "binomial_product", corrupted)
+    # the first product is the quotient of (a), which moves by 1 at E;
     # sum_j q^{2j^2} has no term at 17
     assert_fails_at(verify_boundary_half(4, ORDER), E, 1, 0)
+    assert calls == [ORDER, ORDER]
 
 
 def test_sylvester(monkeypatch):

@@ -17,7 +17,7 @@ import qpl.series as series_module
 from qpl.divisors import recursive_divisor_sums
 from qpl.errors import NotInvertibleError, OracleBoundError, OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams, signed_figurate_series
-from qpl.identities import interior_grid
+from qpl.identities import battery, interior_grid
 from qpl.partitions import (
     CountMode,
     DISTINCT,
@@ -43,7 +43,7 @@ from qpl.partitions import (
     recursive_count_quotient,
 )
 from qpl.partsets import PartSet
-from qpl.series import QSeries
+from qpl.series import QSeries, _pochhammer_product, triple_pochhammer
 
 JBAR31 = PartSet.with_multiples(3, 1)
 JBAR41 = PartSet.with_multiples(4, 1)
@@ -341,6 +341,39 @@ class TestQuotientRecursion:
         with pytest.raises(ParameterError):
             recursive_count_quotient(ModularParams(4, 1), 1, ModularParams(4, 0), 1, 10)
 
+    @pytest.mark.parametrize("ell", [0, 4])
+    @pytest.mark.parametrize("gamma,const", [(1, 0), (-1, 2)])
+    def test_series_refuses_a_denominator_with_constant_0_or_2(self, ell, gamma, const):
+        # the denominator's exponent-zero factor is 1 - γ: 0 or 2, not a unit
+        message = f"constant term must be +1 or -1 to invert exactly, got {const}"
+        with pytest.raises(NotInvertibleError, match=re.escape(message) + "$"):
+            quotient_series(ModularParams(4, ell), gamma, ModularParams(5, 2), 1, 30)
+
+    def test_no_library_path_inverts_by_reciprocal(self, monkeypatch):
+        # the scalar rule stays here as the reference for acceptance test c08's grid
+        dens = (ModularParams(3, 1), ModularParams(4, 1), ModularParams(5, 2))
+        nums = (ModularParams(4, 1), ModularParams(5, 2), ModularParams(7, 3))
+        signs = (1, -1)
+        grid = [(p1, g1, p2, g2) for p1 in dens for p2 in nums for g1 in signs for g2 in signs]
+        for p in interior_grid(3, 8):
+            euler = ModularParams(3 * p.k, p.k)
+            for g in signs:
+                grid += [(euler, 1, p, g), (p, g, euler, -1)]
+        expected = [
+            triple_pochhammer(p2.k, p2.ell, g2, 120)
+            * triple_pochhammer(p1.k, p1.ell, -g1, 120).reciprocal()
+            for p1, g1, p2, g2 in grid
+        ]
+
+        def refuse(self):
+            raise AssertionError("no library path may call QSeries.reciprocal")
+
+        monkeypatch.setattr(QSeries, "reciprocal", refuse)
+        for memo in (_gf_product, _pochhammer_product):
+            memo.cache_clear()
+        assert all(rep.passed for rep in battery(3, 8, 60))
+        assert [quotient_series(*args, 120) for args in grid] == expected
+
 
 class TestFamilyRecursions:
     def test_distinct_oracle_value(self):
@@ -545,6 +578,7 @@ class TestFigurateQuotient:
         monkeypatch.setattr(series_module, "binomial_product", refuse)
         monkeypatch.setattr(partitions_module, "binomial_product", refuse)
         monkeypatch.setattr(partitions_module, "_gf_product", refuse)
+        monkeypatch.setattr(partitions_module, "inverse_terms", refuse)
         monkeypatch.setattr(partitions_module, "_oracle_pass", refuse)
         for recursion in RECURSIONS:
             recursion(ModularParams(5, 2), 40)

@@ -22,6 +22,7 @@ from qpl.series import (
     _pochhammer_product,
     _slot_bytes,
     binomial_product,
+    inverse_terms,
     triple_pochhammer,
 )
 
@@ -446,6 +447,33 @@ signed_term = st.tuples(st.sampled_from([1, -1]), st.integers(min_value=1, max_v
 def test_random_term_lists_match_chain(order, terms):
     # mixed signs, repeated exponents, exponents past the order, order 0
     assert binomial_product(order, terms) == chained_product(order, terms)
+
+
+@st.composite
+def inverse_operands(draw):
+    """An order 0..80 and ±1 factors with exponents 1..order + 2, so some lie past it."""
+    order = draw(st.integers(min_value=0, max_value=80))
+    term = st.tuples(st.sampled_from([1, -1]), st.integers(min_value=1, max_value=order + 2))
+    return order, draw(st.lists(term, max_size=30))
+
+
+@given(inverse_operands())
+def test_inverse_terms_invert_the_product(operands):
+    order, terms = operands
+    inverse = inverse_terms(terms, order)
+    assert binomial_product(order, terms + inverse) == QSeries.one(order)
+    # the scalar rule is the reference
+    assert binomial_product(order, inverse) == binomial_product(order, terms).reciprocal()
+
+
+def test_inverse_terms_keep_each_factors_terms_together():
+    # binomial_product sizes its slots by the order of the terms it is given
+    assert inverse_terms([(-1, 3), (1, 5), (1, 21)], 20) == [
+        (1, 3), (1, 6), (1, 12), (-1, 5), (1, 10), (1, 20), (-1, 21)
+    ]
+    assert inverse_terms([(1, 1)], 0) == [(-1, 1)]
+    # an exponent below 1 ends the doubling at once; binomial_product refuses it
+    assert inverse_terms([(1, 0), (-1, -3)], 9) == [(-1, 0), (1, -3)]
 
 
 def test_binomial_product_edges():
