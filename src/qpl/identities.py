@@ -7,6 +7,8 @@ at the verified order or carries the first mismatching coefficient.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from . import reports
 from .divisors import apostol_convolution_check, kim_identity_check
 from .errors import ParameterError
@@ -255,26 +257,30 @@ _BATTERY_D_VALUES = (1, 2, 3)
 
 def battery(k_lo: int, k_hi: int, order: int, z_window: int = 8) -> list[VerificationReport]:
     """Run every verification over a k-grid, one after another, in a fixed
-    order, so the report is reproducible byte for byte."""
-    out = [verify_triple_product(order, z_window)]
-    for s in range(_BATTERY_HERMITE_MAX_S + 1):
-        out.append(verify_hermite(s))
+    order, so the report is reproducible byte for byte.
+
+    Each task is an IDENTITIES name and the flags its entry reads, run
+    through verify_identity: `verify --all` and `verify --identity` share
+    one call path, and a verifier's arguments are written only in the table.
+    """
+    tasks = [("triple_product", {})]
+    tasks += [("hermite", {"s": s}) for s in range(_BATTERY_HERMITE_MAX_S + 1)]
     for k in range(k_lo, k_hi + 1):
-        out.append(verify_berger(k, order))
+        tasks.append(("berger", {"k": k}))
         if k % 2 == 0:
-            out.append(verify_boundary_half(k, order))
+            tasks.append(("boundary_half", {"k": k}))
         for ell in range(k + 1):
-            for sign in (1, -1):
-                out.append(verify_specialized(ModularParams(k, ell), sign, order))
+            tasks += [("specialized", {"k": k, "ell": ell, "sign": sign}) for sign in (1, -1)]
     for params in interior_grid(k_lo, k_hi):
-        out.append(verify_sylvester(params, order))
-        for gamma in (1, -1):
-            out.append(partition_shift_identities(params, gamma, order))
-        for d in _BATTERY_D_VALUES:
-            out.append(bounded_mult_shift_identity(params, d, order))
-        out.append(apostol_convolution_check(params, order))
-        out.append(kim_identity_check(params, order))
-    return out
+        kl = {"k": params.k, "ell": params.ell}
+        tasks.append(("sylvester", kl))
+        tasks += [("partition_shift", {**kl, "gamma": gamma}) for gamma in (1, -1)]
+        tasks += [("bounded_mult_shift", {**kl, "d": d}) for d in _BATTERY_D_VALUES]
+        tasks += [("apostol", kl), ("kim", kl)]
+    return [
+        verify_identity(name, SimpleNamespace(order=order, zwindow=z_window, **flags))
+        for name, flags in tasks
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -286,9 +292,10 @@ def _params(f) -> ModularParams:
     return ModularParams(f.k, f.ell)
 
 
-# verify --identity NAME: each entry reads its verifier's flags and looks the
-# verifier up when it runs, so a rebound module name (a tracer's span, a
-# test's patch) is the one called
+# each verifier's one call site: `verify --identity NAME` and every battery
+# task run an entry on their flags. An entry looks its verifier up when it
+# runs, so a rebound module name (a tracer's span, a test's patch) is the one
+# called
 IDENTITIES = {
     "triple_product": lambda f: verify_triple_product(f.order, f.zwindow),
     "specialized": lambda f: verify_specialized(_params(f), f.sign, f.order),

@@ -447,7 +447,7 @@ def inverse_terms(terms, order: int) -> list[tuple[int, int]]:
 
 class PackedZRows(Value):
     """The z-rows -margin..margin of a two-variable series, each packed into
-    one int with a non-negative slot per q-exponent and unpacked only when read."""
+    one int with a slot per q-exponent and decoded only when read."""
 
     __slots__ = ("margin", "packed", "slot_bytes", "order")
     margin: int
@@ -459,7 +459,7 @@ class PackedZRows(Value):
         """Coefficient of z^j; zero outside the stored rows."""
         idx = j + self.margin
         if 0 <= idx < len(self.packed) and self.packed[idx]:
-            return QSeries(_unpack(self.packed[idx], self.slot_bytes, self.order))
+            return QSeries(_decode(self.packed[idx], self.slot_bytes, self.order))
         return QSeries.zero(self.order)
 
 
@@ -488,10 +488,11 @@ def triple_product_rows(order: int, factors: int) -> PackedZRows:
     of its neighbour. Every factor has non-negative coefficients and
     truncation only drops terms, so each slot of each partial product is at
     most the matching coefficient of the whole product at z = 1,
-    2·prod_{m<=order} (1+q^m)^2: that is prod (1 + q^e) over e = 0 and each
-    m twice, bounded by _slot_bytes (80 bits at order 400), and no slot
-    carries into its neighbour. A finite product multiplies a subset of the
-    same factors, each at least 1 coefficientwise, so the same width holds.
+    U = 2·prod_{m<=order} (1+q^m)^2. As in binomial_product, _slot_widths
+    over e = 0, 0 and each m twice bounds 2·U (80 bits at order 400), so no
+    slot carries into its neighbour and _decode reads every row. A finite
+    product multiplies a subset of the same factors, each at least 1
+    coefficientwise, so the same width holds.
     """
     if order < 0 or factors < 0:
         raise ParameterError("order and factors must be non-negative")
@@ -500,7 +501,7 @@ def triple_product_rows(order: int, factors: int) -> PackedZRows:
     while b * (b - 1) // 2 <= n:
         b += 1
     size = 2 * b + 1
-    slot_bytes = _slot_bytes(n, [0] + [m for m in range(1, n + 1) for _ in range(2)])
+    slot_bytes = _slot_widths(n, [0, 0] + [m for m in range(1, n + 1) for _ in range(2)])[-1][1]
     width = 8 * slot_bytes
     rows = [0] * size
     rows[b] = 1
@@ -537,30 +538,25 @@ def _pack(coeffs, slot_bytes: int) -> int:
 
 def _decode(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
     """The coefficients of q^0 .. q^order of ``packed`` read modulo
-    2^{W·(order+1)}, W = 8·slot_bytes, each known to satisfy |c| < 2^{W-1}.
+    2^{W·(order+1)}, W = 8·slot_bytes, each known to satisfy |c| < 2^{W-1}:
+    every product, quotient and triple-product row is read here.
 
     Adding 2^{W-1} to every slot maps each coefficient into [0, 2^W), so the
     offset sum, reduced mod 2^{W·(order+1)}, has no carries or borrows
-    between slots and unpacks slot by slot.
+    between slots, unpacks slot by slot and loses 2^{W-1} per slot again.
     """
-    offset = _offset(slot_bytes, order + 1)
-    mask = (1 << 8 * slot_bytes * (order + 1)) - 1
-    half = 1 << 8 * slot_bytes - 1
-    return tuple(map(sub, _unpack((packed + offset) & mask, slot_bytes, order), repeat(half)))
+    count = order + 1
+    mask = (1 << 8 * slot_bytes * count) - 1
+    data = ((packed + _offset(slot_bytes, count)) & mask).to_bytes(slot_bytes * count, "little")
+    slots = struct.unpack(_slot_format(slot_bytes, count), data)
+    if slot_bytes not in _FORMATS:
+        slots = map(int.from_bytes, slots, repeat("little"))
+    return tuple(map(sub, slots, repeat(1 << 8 * slot_bytes - 1)))
 
 
 def _offset(slot_bytes: int, count: int) -> int:
     """2^{W-1} in each of ``count`` slots of W = 8·slot_bytes bits."""
     return int.from_bytes((bytes(slot_bytes - 1) + b"\x80") * count, "little")
-
-
-def _unpack(packed: int, slot_bytes: int, order: int) -> tuple[int, ...]:
-    """The order + 1 unsigned slots of ``packed``, lowest first, each slot_bytes wide."""
-    data = packed.to_bytes(slot_bytes * (order + 1), "little")
-    slots = struct.unpack(_slot_format(slot_bytes, order + 1), data)
-    if slot_bytes in _FORMATS:
-        return slots
-    return tuple(map(int.from_bytes, slots, repeat("little")))
 
 
 # struct codes of the slot widths struct packs as integers; other widths go
@@ -572,12 +568,6 @@ def _slot_format(slot_bytes: int, count: int) -> str:
     """The little-endian struct format of ``count`` unsigned slots of slot_bytes bytes."""
     code = _FORMATS.get(slot_bytes)
     return f"<{count}{code}" if code else "<" + f"{slot_bytes}s" * count
-
-
-def _slot_bytes(order: int, exps) -> int:
-    """Whole bytes per slot that hold every coefficient of U = prod (1 + q^e)
-    over ``exps`` truncated at ``order``: the last of _slot_widths."""
-    return _slot_widths(order, exps)[-1][1]
 
 
 def _slot_widths(order: int, exps) -> list[tuple[int, int]]:

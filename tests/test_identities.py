@@ -1,14 +1,18 @@
 """The verification harness, including an unclamped reference expansion."""
 
+import json
 import subprocess
 import sys
 from operator import add
 
 import pytest
 
+import qpl.identities
+from qpl.cli import main
 from qpl.errors import OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams
 from qpl.identities import (
+    IDENTITIES,
     battery,
     compare_series,
     interior_grid,
@@ -20,6 +24,7 @@ from qpl.identities import (
     verify_triple_product,
 )
 from qpl.partitions import _gf_product
+from qpl.reports import Mismatch, VerificationReport
 from qpl.series import (
     QSeries,
     ZLaurentSeries,
@@ -352,6 +357,34 @@ class TestBattery:
             "apostol",
             "kim",
         } <= names
+
+    def test_every_task_runs_through_the_identity_table(self, monkeypatch):
+        # one call path: the battery reaches each verifier only through
+        # verify_identity, as `verify --identity` does
+        names = []
+        real = qpl.identities.verify_identity
+
+        def recorded(name, flags):
+            names.append(name)
+            return real(name, flags)
+
+        monkeypatch.setattr(qpl.identities, "verify_identity", recorded)
+        reports = battery(3, 8, 60)
+        assert len(names) == 285
+        assert names == [r.identity for r in reports]
+        assert set(names) == set(IDENTITIES)
+
+    def test_a_patched_table_entry_reaches_both_verify_paths(self, monkeypatch, capsys):
+        failing = VerificationReport("sylvester", {}, 0, False, Mismatch(0, 1, 0))
+        monkeypatch.setitem(IDENTITIES, "sylvester", lambda flags: failing)
+        for argv in (
+            ["verify", "--identity", "sylvester"],
+            ["verify", "--all", "--grid", "k=3..4", "--order", "20"],
+        ):
+            assert main(argv) == 1
+            reports = json.loads(capsys.readouterr().out)
+            fails = [r["outcome"] == "fail" for r in reports]
+            assert any(fails) and fails == [r["identity"] == "sylvester" for r in reports], argv
 
     def test_cli_import_leaves_the_thread_pool_unloaded(self, qpl_env):
         # a fresh interpreter: this one may have loaded it for other reasons

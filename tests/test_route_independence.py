@@ -54,7 +54,6 @@ COUNTING_SHARED = {
         "qpl.series._decode",
         "qpl.series._offset",
         "qpl.series._slot_format",
-        "qpl.series._unpack",
     },
 }
 

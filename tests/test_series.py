@@ -20,7 +20,7 @@ from qpl.series import (
     QSeries,
     ZLaurentSeries,
     _pochhammer_product,
-    _slot_bytes,
+    _slot_widths,
     binomial_product,
     inverse_terms,
     triple_pochhammer,
@@ -496,12 +496,13 @@ def test_slot_width_holds_the_unsigned_product(battery_terms):
             e *= 2
     for order, ts in battery_terms + [(n, terms)]:
         exps = [e for _, e in ts if e <= order]
-        assert 8 * _slot_bytes(order, [0] + exps) - 1 >= unsigned_bits(order, ts)
+        assert 8 * _slot_widths(order, [0] + exps)[-1][1] - 1 >= unsigned_bits(order, ts)
     # the triple-product rows: 2·prod (1 + q^m)^2, with e = 0 as the factor 2
+    # and one more e = 0 for the sign bit that _decode reads them with
     for order in (0, 1, 2, 30, 200, 400):
         ms = [m for m in range(1, order + 1) for _ in range(2)]
         row_bits = (2 * max(chained_product(order, [(1, m) for m in ms]).coeffs)).bit_length()
-        assert 8 * _slot_bytes(order, [0] + ms) > row_bits
+        assert 8 * _slot_widths(order, [0, 0] + ms)[-1][1] - 1 >= row_bits
 
 
 def test_kernel_sizes_slots_for_twice_the_unsigned_product(monkeypatch):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from qpl.identities import IDENTITIES
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -40,3 +42,10 @@ def test_target_resolves(owner, attr):
     if class_name:
         holder = getattr(holder, class_name)
     assert attr in vars(holder), f"{owner}.{attr} is traced but no longer defined"
+
+
+def test_every_identity_has_a_span():
+    # the benchmark times each identity by its own span: a table entry
+    # without one would vanish from the per-identity metrics
+    spans = {name for name, *_ in TARGETS if name.startswith("identities.")}
+    assert spans - {"identities.battery"} == {f"identities.{key}" for key in IDENTITIES}
