@@ -16,6 +16,7 @@ import sys
 
 from .divisors import DIVISOR_METHODS, divisor_sums
 from .errors import ParameterError
+from .fanout import usable_cpus
 from .figurate import ModularParams, figurate_enumerate
 from .identities import battery, verify_identity
 from .partitions import (
@@ -205,11 +206,12 @@ def _cmd_verify(args) -> int:
         raise ParameterError(f"order must be non-negative, got {args.order}")
     if args.d < 1:
         raise ParameterError(f"d must be >= 1, got {args.d}")
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {args.jobs}")
     if args.all:
         lo, hi = _parse_grid(args.grid)
-        results = battery(lo, hi, args.order, z_window=args.zwindow)
+        jobs = usable_cpus() if args.jobs is None else args.jobs
+        results = battery(lo, hi, args.order, z_window=args.zwindow, jobs=jobs)
     elif args.identity is None:
         raise ParameterError("verify needs --identity NAME or --all")
     else:
@@ -344,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--s", type=int, default=3)
     ver.add_argument("--d", type=int, default=1)
     ver.add_argument(
-        "--jobs", type=int, default=1,
-        help="accepted for older invocations; the battery runs serially",
+        "--jobs", type=int, default=None,
+        help="processes that run --all, at most one per usable CPU (default: one per usable CPU)",
     )
     _add_io_flags(ver, ("json",))
     ver.set_defaults(func=_cmd_verify)

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 from . import reports
 from .divisors import apostol_convolution_check, kim_identity_check
 from .errors import ParameterError
+from .fanout import run_blocks
 from .figurate import (
     ModularParams,
     figurate,
@@ -255,14 +256,24 @@ _BATTERY_HERMITE_MAX_S = 4
 _BATTERY_D_VALUES = (1, 2, 3)
 
 
-def battery(k_lo: int, k_hi: int, order: int, z_window: int = 8) -> list[VerificationReport]:
-    """Run every verification over a k-grid, one after another, in a fixed
+def battery(
+    k_lo: int, k_hi: int, order: int, z_window: int = 8, jobs: int = 1
+) -> list[VerificationReport]:
+    """Run every verification over a k-grid and return the reports in a fixed
     order, so the report is reproducible byte for byte.
 
     Each task is an IDENTITIES name and the flags its entry reads, run
     through verify_identity: `verify --all` and `verify --identity` share
     one call path, and a verifier's arguments are written only in the table.
+
+    The tasks fall into blocks: one of the tasks with no k (triple_product,
+    hermite), then one per k.  With jobs > 1 the blocks run on up to
+    min(jobs, usable CPUs, blocks) processes (qpl.fanout): this one and
+    forked workers.  A block keeps every repeated memo key in one process,
+    and the reports, and the first exception raised, are those of jobs=1.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     tasks = [("triple_product", {})]
     tasks += [("hermite", {"s": s}) for s in range(_BATTERY_HERMITE_MAX_S + 1)]
     for k in range(k_lo, k_hi + 1):
@@ -277,10 +288,15 @@ def battery(k_lo: int, k_hi: int, order: int, z_window: int = 8) -> list[Verific
         tasks += [("partition_shift", {**kl, "gamma": gamma}) for gamma in (1, -1)]
         tasks += [("bounded_mult_shift", {**kl, "d": d}) for d in _BATTERY_D_VALUES]
         tasks += [("apostol", kl), ("kim", kl)]
-    return [
-        verify_identity(name, SimpleNamespace(order=order, zwindow=z_window, **flags))
-        for name, flags in tasks
-    ]
+
+    def run(i: int) -> VerificationReport:
+        name, flags = tasks[i]
+        return verify_identity(name, SimpleNamespace(order=order, zwindow=z_window, **flags))
+
+    blocks: dict[int | None, list[int]] = {}
+    for i, (_, flags) in enumerate(tasks):
+        blocks.setdefault(flags.get("k"), []).append(i)
+    return run_blocks(list(blocks.values()), run, jobs)
 
 
 # --------------------------------------------------------------------------

@@ -600,7 +600,7 @@ class TestStartup:
     def test_cli_import_loads_no_theta_json_or_dataclasses(self, newly_loaded):
         new = newly_loaded("import qpl.cli")
         assert {"qpl", "qpl.partitions", "qpl.identities", "qpl.divisors"} <= new
-        assert not new & {"dataclasses", "qpl.theta", "json", "concurrent.futures"}
+        assert not new & {"dataclasses", "qpl.theta", "json", "concurrent.futures", "pickle"}
 
     def test_gf_count_is_bound_where_the_tracer_looks(self):
         # the benchmark's tracer patches module namespaces, not lazy lookups

@@ -26,6 +26,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -201,9 +203,21 @@ def test_benchmark_golden_digest(key, monkeypatch):
 
 
 def test_battery_jobs2_bytes_match_benchmark_golden():
-    # --jobs is accepted and changes nothing: the golden bytes of the order-200
-    # battery with --jobs 2 are those of the same run without it, and
-    # test_benchmark_golden_digest runs both
+    # --jobs changes the processes, not the bytes: the golden bytes of the
+    # order-200 battery with --jobs 2 are those of the same run without it,
+    # and test_benchmark_golden_digest runs both
     digests = golden_digests()
     serial = "qpl verify --all --grid k=3..8 --order 200"
     assert digests[serial + " --jobs 2"] == digests[serial]
+
+
+def test_battery_bytes_equal_for_any_jobs(qpl_env):
+    # through real stdout: the default (one process per usable CPU), one
+    # process and two print the same bytes, the benchmark's golden ones
+    argv = [sys.executable, "-m", "qpl.cli", "verify", "--all", "--grid", "k=3..8", "--order", "200"]
+    digests = set()
+    for jobs in ((), ("--jobs", "1"), ("--jobs", "2")):
+        proc = subprocess.run([*argv, *jobs], capture_output=True, timeout=120, env=qpl_env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        digests.add(hashlib.sha256(proc.stdout).hexdigest())
+    assert digests == {golden_digests()["qpl verify --all --grid k=3..8 --order 200"]}

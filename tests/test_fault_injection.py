@@ -5,6 +5,7 @@ yields a failing report located at the corrupted exponent."""
 import pytest
 
 import qpl.divisors
+import qpl.fanout
 import qpl.identities
 import qpl.partitions
 import qpl.series
@@ -297,3 +298,23 @@ def test_dilated_pentagonal_series_is_euler_product(k):
     for m in range(1, ORDER // k + 1):
         euler = euler.mul_binomial(-1, k * m)
     assert signed_figurate_series(ModularParams(3, 1), -1, ORDER).dilate(k) == euler
+
+
+def test_battery_worker_share(monkeypatch):
+    # with two processes the worker runs k = 6..8, so the corrupted product
+    # is computed there alone, and its failing report comes back
+    monkeypatch.setattr(qpl.fanout, "usable_cpus", lambda: 2)
+    truth = corrupt(
+        monkeypatch,
+        qpl.identities,
+        "gf_count",
+        E,
+        PartSet.with_multiples(7, 2),
+        SIGNED_DISTINCT,
+    )
+    reports = qpl.identities.battery(3, 8, ORDER, jobs=2)
+    assert truth == []
+    failing = [r for r in reports if not r.passed]
+    assert [(r.identity, r.parameters) for r in failing] == [("sylvester", {"k": 7, "ell": 2})]
+    value = signed_figurate_series(ModularParams(7, 2), -1, ORDER).coeffs[E]
+    assert_fails_at(failing[0], E, value + 1, value)

@@ -1,6 +1,7 @@
 """The verification harness, including an unclamped reference expansion."""
 
 import json
+import os
 import subprocess
 import sys
 from operator import add
@@ -8,6 +9,7 @@ from operator import add
 import pytest
 
 import qpl.identities
+from qpl import fanout
 from qpl.cli import main
 from qpl.errors import OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams
@@ -396,7 +398,7 @@ class TestBattery:
         assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_jobs_flag_runs_without_a_thread_pool(self, qpl_env):
-        # --jobs is still accepted, and the battery still runs serially
+        # --jobs 2 runs the battery on forked processes, never on threads
         probe = (
             "import contextlib, io, sys\n"
             "from qpl.cli import main\n"
@@ -434,3 +436,98 @@ class TestBattery:
         assert len(grid) == 24
         assert all(p.is_interior for p in grid)
         assert interior_grid(1, 2) == []
+
+
+class TestBatteryWorkers:
+    """The battery on forked workers: the k=3..8 grid has seven blocks, and
+    with two usable CPUs this process runs the k-free block and k = 3..5,
+    one worker k = 6..8."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        return lambda n: monkeypatch.setattr(fanout, "usable_cpus", lambda: n)
+
+    @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (8, 7)])
+    def test_reports_equal_the_serial_run(self, cpus, monkeypatch, jobs, workers):
+        cpus(8)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert battery(3, 8, 60, jobs=jobs) == battery(3, 8, 60)
+        assert len(forks) == workers - 1
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ParameterError, match="jobs must be >= 1, got 0"):
+            battery(3, 4, 20, jobs=0)
+
+    @staticmethod
+    def raise_in(monkeypatch, name, ks):
+        real = IDENTITIES[name]
+
+        def entry(flags):
+            if flags.k in ks:
+                raise ParameterError(f"{name} refused k={flags.k}")
+            return real(flags)
+
+        monkeypatch.setitem(IDENTITIES, name, entry)
+
+    @pytest.mark.parametrize(
+        "raising,message",
+        [
+            # both sides raise; this process's berger k=4 comes first
+            ({"berger": {4, 7}}, "berger refused k=4"),
+            # the worker's berger k=7 comes before this process's kim k=4
+            ({"berger": {7}, "kim": {4}}, "berger refused k=7"),
+        ],
+    )
+    def test_the_earliest_exception_wins_as_in_a_serial_run(
+        self, cpus, monkeypatch, capsys, raising, message
+    ):
+        cpus(2)
+        for name, ks in raising.items():
+            self.raise_in(monkeypatch, name, ks)
+        outputs = []
+        for jobs in ("1", "2"):
+            argv = ["verify", "--all", "--grid", "k=3..8", "--order", "30", "--jobs", jobs]
+            outputs.append((main(argv), capsys.readouterr()))
+        assert outputs[0] == outputs[1] == (2, ("", f"qpl: error: {message}\n"))
+
+    def test_a_worker_that_dies_has_its_share_run_here(self, cpus, monkeypatch):
+        cpus(2)
+        here = os.getpid()
+        real = IDENTITIES["kim"]
+
+        def entry(flags):
+            if os.getpid() != here:
+                os._exit(9)
+            return real(flags)
+
+        monkeypatch.setitem(IDENTITIES, "kim", entry)
+        assert battery(3, 8, 60, jobs=2) == battery(3, 8, 60)
+
+    def test_an_interrupt_here_reaps_the_worker(self, cpus, monkeypatch):
+        # the worker is still busy with k = 6..8 when this process stops at
+        # its first task; no_child_left then finds nothing to reap
+        cpus(2)
+        here = os.getpid()
+        real = IDENTITIES["triple_product"]
+
+        def entry(flags):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            return real(flags)
+
+        monkeypatch.setitem(IDENTITIES, "triple_product", entry)
+        with pytest.raises(KeyboardInterrupt):
+            battery(3, 8, 400, jobs=2)
