@@ -33,3 +33,11 @@ def newly_loaded(qpl_env):
 
     baseline = modules_after("pass")
     return lambda code: modules_after(code) - baseline
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n): qpl.fanout reads n usable CPUs, whatever the machine has."""
+    from qpl import fanout
+
+    return lambda n: monkeypatch.setattr(fanout, "usable_cpus", lambda: n)

@@ -10,12 +10,6 @@ from qpl.errors import ParameterError
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n): the usable CPU count reads n."""
-    return lambda n: monkeypatch.setattr(fanout, "usable_cpus", lambda: n)
-
-
-@pytest.fixture
 def failing_fork(monkeypatch):
     """os.fork raises OSError and counts its calls: no process is started,
     and every share runs in this process."""

@@ -5,7 +5,6 @@ yields a failing report located at the corrupted exponent."""
 import pytest
 
 import qpl.divisors
-import qpl.fanout
 import qpl.identities
 import qpl.partitions
 import qpl.series
@@ -300,10 +299,10 @@ def test_dilated_pentagonal_series_is_euler_product(k):
     assert signed_figurate_series(ModularParams(3, 1), -1, ORDER).dilate(k) == euler
 
 
-def test_battery_worker_share(monkeypatch):
+def test_battery_worker_share(monkeypatch, cpus):
     # with two processes the worker runs k = 6..8, so the corrupted product
     # is computed there alone, and its failing report comes back
-    monkeypatch.setattr(qpl.fanout, "usable_cpus", lambda: 2)
+    cpus(2)
     truth = corrupt(
         monkeypatch,
         qpl.identities,

@@ -9,7 +9,6 @@ from operator import add
 import pytest
 
 import qpl.identities
-from qpl import fanout
 from qpl.cli import main
 from qpl.errors import OrderMismatchError, ParameterError
 from qpl.figurate import ModularParams
@@ -449,10 +448,6 @@ class TestBatteryWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.fixture
-    def cpus(self, monkeypatch):
-        return lambda n: monkeypatch.setattr(fanout, "usable_cpus", lambda: n)
-
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (8, 7)])
     def test_reports_equal_the_serial_run(self, cpus, monkeypatch, jobs, workers):
         cpus(8)
@@ -520,14 +515,10 @@ class TestBatteryWorkers:
         # the worker is still busy with k = 6..8 when this process stops at
         # its first task; no_child_left then finds nothing to reap
         cpus(2)
-        here = os.getpid()
-        real = IDENTITIES["triple_product"]
 
-        def entry(flags):
-            if os.getpid() == here:
-                raise KeyboardInterrupt
-            return real(flags)
+        def interrupted(flags):
+            raise KeyboardInterrupt
 
-        monkeypatch.setitem(IDENTITIES, "triple_product", entry)
+        monkeypatch.setitem(IDENTITIES, "triple_product", interrupted)
         with pytest.raises(KeyboardInterrupt):
             battery(3, 8, 400, jobs=2)
