@@ -4,7 +4,8 @@ Sequence tables are emitted as CSV, verification reports as JSON; both
 payloads are deterministic for a given invocation.  Exit status: 0 all
 computations/verifications succeeded, 1 a verification or cross-check failed,
 2 usage error (including violated parameter hypotheses and running out of
-memory).
+memory), 3 an internal error: an unexpected exception, printed with its
+traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .partsets import parse_part_set
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -297,6 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qpl",
         description="Exact tables and identity verification for modular partitions.",
+        epilog="exit status: 0 passed, 1 a verification or cross-check failed, "
+        "2 usage error, 3 internal error",
     )
     subs = parser.add_subparsers(dest="command")
 
@@ -386,6 +390,12 @@ def main(argv=None) -> int:
         hint = f"; try a smaller {flag}" if flag else ""
         print(f"qpl: error: out of memory{hint}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback  # only an unexpected exception loads it
+
+        print(f"qpl: internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exception(exc, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,17 +1,12 @@
 """Running blocks of tasks on forked worker processes, with a serial run's result.
 
-Tasks are numbered 0..n-1 and grouped into blocks.  The blocks are dealt to
-at most one process per usable CPU: the calling process runs the first
-share, and each other share runs in an ``os.fork()`` child that sends back
-``(task index, result or exception)`` pairs, pickled, over an ``os.pipe()``.
-The caller gets the results in index order, or the exception that a serial
-run in index order would raise: every process stops at its first exception,
-and the one with the lowest index wins.
-
-A worker that dies before sending its whole payload costs time, not bytes:
-the calling process runs that share itself.  A worker leaves only through
-``os._exit``, so it never flushes the caller's stdio buffers, and it exits
-before its next task once the process that forked it is gone.
+Tasks are numbered 0..n-1 and grouped into blocks.  The blocks wait in one
+queue, an ``os.pipe()`` filled before forking, and the caller and up to one
+``os.fork()`` worker per other usable CPU each pull the next block when idle
+until the queue is empty or their first exception.  A worker pickles its
+outcomes, an exception with its formatted traceback, back over a pipe of its
+own; it leaves only through ``os._exit``, so it never flushes the caller's
+stdio buffers, and it exits before its next task once the caller is gone.
 
 Workers are forked, not spawned: a spawned one would pay interpreter start-up
 and imports again, about as long as a whole share of the battery, and the
@@ -22,7 +17,6 @@ so forking it is safe; a caller running threads of its own keeps jobs at 1.
 from __future__ import annotations
 
 import os
-
 
 def usable_cpus() -> int:
     """The CPUs this process may run on."""
@@ -40,105 +34,110 @@ def worker_count(jobs: int, blocks: int) -> int:
     return max(1, min(jobs, usable_cpus(), blocks))
 
 
-def deal(blocks: list[list[int]], workers: int) -> list[list[int]]:
-    """Cut the blocks, in order, into `workers` contiguous runs of near-equal
-    length (the first runs take the extra blocks); each share lists its task
-    indices in increasing order."""
-    cuts = [-(-len(blocks) * w // workers) for w in range(workers + 1)]
-    return [
-        sorted(i for block in blocks[lo:hi] for i in block)
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
-
-
 def run_blocks(blocks: list[list[int]], run, jobs: int) -> list:
     """[run(i) for i in range(n)], the blocks partitioning range(n), on up to
-    worker_count(jobs, len(blocks)) processes; raises what that serial list
-    would raise first."""
+    worker_count(jobs, len(blocks)) processes.  Walking i in order, it takes
+    the outcome a process pulled or runs a missing index here, and raises the
+    first exception met: a serial run's, whatever a worker, fork or pickle did."""
     workers = worker_count(jobs, len(blocks))
-    if workers == 1:
-        return [run(i) for i in range(sum(map(len, blocks)))]
-    return _in_order(_fan_out(deal(blocks, workers), run))
+    outcomes = _fan_out(blocks, run, workers) if workers > 1 else {}
+    results = []
+    for i in range(sum(map(len, blocks))):
+        outcome = outcomes[i] if i in outcomes else run(i)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        results.append(outcome)
+    return results
 
 
-def _run_share(share: list[int], run, parent: int | None = None) -> list:
-    """(i, run(i)) for i in share, ending early with (i, exception) at the
-    first task that raises.  Given the pid of the process that forked it, a
-    worker compares it with its parent's before each task and exits at once
-    when they differ: the caller is gone and nobody reads the result."""
-    outcomes = []
-    for i in share:
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        try:
-            outcomes.append((i, run(i)))
-        except Exception as exc:
-            outcomes.append((i, exc))
-            break
+class RemoteTraceback(Exception):
+    """The formatted traceback of an exception raised in a worker."""
+
+
+class _Shipped:
+    """An exception and its formatted traceback: unpickles as the exception,
+    with the traceback chained as its cause."""
+
+    def __init__(self, exc: BaseException):
+        import traceback
+
+        self.exc = exc
+        self.text = '\n"""\n' + "".join(traceback.format_exception(exc)) + '"""'
+
+    def __reduce__(self):
+        return _rebuild, (self.exc, self.text)
+
+
+def _rebuild(exc: BaseException, text: str) -> BaseException:
+    exc.__cause__ = RemoteTraceback(text)
+    return exc
+
+
+def _pull(queue: int, runs: list[list[int]], run, parent: int | None = None) -> dict:
+    """{i: run(i)} for the tasks that the records pulled from the queue name,
+    one record at a time, until it is empty or a task raises: {i: exception}
+    comes last.  A worker, given the pid that forked it, ships the exception
+    with its traceback and exits before a task once the caller is gone."""
+    outcomes = {}
+    while record := os.read(queue, 4):
+        for i in runs[int.from_bytes(record, "little")]:
+            if parent is not None and os.getppid() != parent:
+                os._exit(1)
+            try:
+                outcomes[i] = run(i)
+            except Exception as exc:
+                outcomes[i] = exc if parent is None else _Shipped(exc)
+                return outcomes
     return outcomes
 
 
-def _fan_out(shares: list[list[int]], run) -> list:
-    """Every share's outcomes: shares[0] in this process, each other share in
-    a forked worker or, when the fork or the worker fails, here too."""
+def _fan_out(blocks: list[list[int]], run, workers: int) -> dict:
+    """The outcomes, by task index, that this process and `workers` - 1
+    forked ones pulled from a queue of the blocks and sent back."""
     import pickle
     import signal
 
+    # at most 1024 4-byte records fill the one page a pipe holds, so writing never blocks
+    step = -(-len(blocks) // 1024)
+    runs = [sum(blocks[lo:lo + step], []) for lo in range(0, len(blocks), step)]
     parent = os.getpid()
-    outcomes = []
-    local = [shares[0]]
-    workers = {}  # pid -> (read end of its pipe, its share), until reaped
+    queue, feed = os.pipe()
+    os.write(feed, b"".join(r.to_bytes(4, "little") for r in range(len(runs))))
+    os.close(feed)
+    pipes = {}  # pid -> read end of its outcome pipe, until reaped
     try:
-        for share in shares[1:]:
+        for _ in range(workers - 1):
             read, write = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: run the share here
+            except OSError:  # no process to spare: the others pull its runs
                 os.close(read)
                 os.close(write)
-                local.append(share)
                 continue
             if pid == 0:
-                status = 1
                 try:
-                    payload = pickle.dumps(_run_share(share, run, parent), pickle.HIGHEST_PROTOCOL)
+                    payload = pickle.dumps(_pull(queue, runs, run, parent), pickle.HIGHEST_PROTOCOL)
                     with open(write, "wb") as pipe:
                         pipe.write(payload)
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)
+                    os._exit(1)
             os.close(write)
-            workers[pid] = (open(read, "rb"), share)
-        for share in local:
-            outcomes += _run_share(share, run)
-        for pid in list(workers):
-            pipe, share = workers[pid]
-            with pipe:
-                payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
+            pipes[pid] = open(read, "rb")
+        outcomes = _pull(queue, runs, run)
+        for pid, pipe in list(pipes.items()):
+            payload = pipe.read()
+            os.waitpid(pid, 0)
+            pipes.pop(pid).close()
             try:
-                shipped = pickle.loads(payload) if status == 0 else None
-            except Exception:
-                shipped = None
-            # a worker killed, out of memory or unable to pickle its outcomes
-            outcomes += _run_share(share, run) if shipped is None else shipped
+                outcomes.update(pickle.loads(payload))
+            except Exception:  # cut short by a kill, or an exception that does not unpickle
+                pass
     finally:
-        for pid, (pipe, _) in workers.items():
+        os.close(queue)
+        for pid, pipe in pipes.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return outcomes
 
-
-def _in_order(outcomes: list) -> list:
-    """The results by task index; raises the exception of the lowest index.
-
-    Each process stopped at its first exception, so every index below the
-    lowest one that raised is present."""
-    results = []
-    for _, outcome in sorted(outcomes, key=lambda pair: pair[0]):
-        if isinstance(outcome, BaseException):
-            raise outcome
-        results.append(outcome)
-    return results

@@ -267,10 +267,11 @@ def battery(
     one call path, and a verifier's arguments are written only in the table.
 
     The tasks fall into blocks: one of the tasks with no k (triple_product,
-    hermite), then one per k.  With jobs > 1 the blocks run on up to
-    min(jobs, usable CPUs, blocks) processes (qpl.fanout): this one and
-    forked workers.  A block keeps every repeated memo key in one process,
-    and the reports, and the first exception raised, are those of jobs=1.
+    hermite), then one per k.  With jobs > 1 up to min(jobs, usable CPUs,
+    blocks) processes, this one and forked workers, pull the blocks in this
+    order, each taking the next when idle (qpl.fanout).  A block keeps every
+    repeated memo key in one process, and the reports, and the first
+    exception raised, are those of jobs=1.
     """
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")

@@ -1,6 +1,7 @@
 """Shared fixtures."""
 
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +42,27 @@ def cpus(monkeypatch):
     from qpl import fanout
 
     return lambda n: monkeypatch.setattr(fanout, "usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def deadline():
+    """Raise TimeoutError in this process if the test runs past 60 s, so a
+    fan-out stuck on a pipe fails the test, and its `finally` reaps the
+    workers, instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 60 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child left to reap."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -325,6 +325,7 @@ class TestVerify:
         assert code == 0
         assert all(r["outcome"] == "pass" for r in json.loads(out))
 
+    @pytest.mark.usefixtures("deadline", "no_child_left")
     def test_all_small_grid(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--all", "--grid", "k=3..4", "--order", "40"
@@ -334,6 +335,7 @@ class TestVerify:
         assert len(reports) > 20
         assert all(r["outcome"] == "pass" for r in reports)
 
+    @pytest.mark.usefixtures("deadline", "no_child_left")
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "verify", "--all", "--grid", "k=3..4", "--order", "30")
         _, second, _ = run(capsys, "verify", "--all", "--grid", "k=3..4", "--order", "30")
@@ -366,6 +368,31 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--identity", "berger", "--k", "5", "--order", "20")
         assert code == 1
         assert json.loads(out)[0]["outcome"] == "fail"
+
+    @pytest.mark.parametrize(
+        "outcome,code,first_err",
+        [
+            (ParameterError("refused"), 2, "qpl: error: refused"),
+            (MemoryError(), 2, "qpl: error: out of memory; try a smaller --order"),
+            (TypeError("bad operand"), 3, "qpl: internal error: TypeError('bad operand')"),
+            (VerificationReport("kim", {"k": 3}, 20, False, Mismatch(3, 1, 0)), 1, None),
+        ],
+        ids=["parameter", "memory", "unexpected", "failing-report"],
+    )
+    def test_exit_status_says_what_went_wrong(self, capsys, monkeypatch, outcome, code, first_err):
+        # an unexpected exception exits 3, never 1 (a verification failed)
+        def entry(flags):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+
+        monkeypatch.setitem(qpl.identities.IDENTITIES, "kim", entry)
+        got, out, err = run(capsys, "verify", "--identity", "kim", "--order", "20")
+        assert got == code
+        assert err.splitlines()[:1] == ([first_err] if first_err else [])
+        if code == 3:
+            assert out == ""
+            assert ", in entry\n" in err and err.endswith("\nTypeError: bad operand\n")
 
     def test_bad_grid(self, capsys):
         code, _, err = run(capsys, "verify", "--all", "--grid", "m=1..2")
@@ -600,7 +627,9 @@ class TestStartup:
     def test_cli_import_loads_no_theta_json_or_dataclasses(self, newly_loaded):
         new = newly_loaded("import qpl.cli")
         assert {"qpl", "qpl.partitions", "qpl.identities", "qpl.divisors"} <= new
-        assert not new & {"dataclasses", "qpl.theta", "json", "concurrent.futures", "pickle"}
+        assert not new & {
+            "dataclasses", "qpl.theta", "json", "concurrent.futures", "pickle", "traceback"
+        }
 
     def test_gf_count_is_bound_where_the_tracer_looks(self):
         # the benchmark's tracer patches module namespaces, not lazy lookups

@@ -175,6 +175,7 @@ def run_digest(argv) -> tuple[int, str]:
     return code, hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
 
 
+@pytest.mark.usefixtures("deadline", "no_child_left")
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
 def test_stdout_bytes_unchanged(argv, monkeypatch):
     monkeypatch.delenv("QPL_ORACLE_BOUND", raising=False)
@@ -189,6 +190,7 @@ def golden_digests() -> dict[str, str]:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
 
 
+@pytest.mark.usefixtures("deadline", "no_child_left")
 @pytest.mark.parametrize("key", sorted(golden_digests()))
 def test_benchmark_golden_digest(key, monkeypatch):
     # every invocation the benchmark runs, in-process: its environment

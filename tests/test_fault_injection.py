@@ -1,6 +1,7 @@
 """Every verifier can fail: corrupting one coefficient of one kernel result
 yields a failing report located at the corrupted exponent."""
 
+import os
 
 import pytest
 
@@ -299,20 +300,28 @@ def test_dilated_pentagonal_series_is_euler_product(k):
     assert signed_figurate_series(ModularParams(3, 1), -1, ORDER).dilate(k) == euler
 
 
-def test_battery_worker_share(monkeypatch, cpus):
-    # with two processes the worker runs k = 6..8, so the corrupted product
-    # is computed there alone, and its failing report comes back
+@pytest.mark.usefixtures("deadline", "no_child_left")
+def test_battery_worker_share(monkeypatch, cpus, tmp_path):
+    # two processes pull the k-blocks; whichever runs k = 7 computes the
+    # corrupted product there alone, records its pid, and its failing report
+    # comes back
     cpus(2)
-    truth = corrupt(
-        monkeypatch,
-        qpl.identities,
-        "gf_count",
-        E,
-        PartSet.with_multiples(7, 2),
-        SIGNED_DISTINCT,
-    )
+    key = (PartSet.with_multiples(7, 2), SIGNED_DISTINCT)
+    truth = corrupt(monkeypatch, qpl.identities, "gf_count", E, *key)
+    corrupted = qpl.identities.gf_count
+    pids = tmp_path / "pids"
+
+    def recorded(*args):
+        if args[:2] == key:
+            with open(pids, "a", encoding="utf-8") as out:
+                out.write(f"{os.getpid()}\n")
+        return corrupted(*args)
+
+    monkeypatch.setattr(qpl.identities, "gf_count", recorded)
     reports = qpl.identities.battery(3, 8, ORDER, jobs=2)
-    assert truth == []
+    (ran_in,) = set(pids.read_text(encoding="utf-8").split())
+    # only the process that ran the corrupted product saw its true value
+    assert bool(truth) == (int(ran_in) == os.getpid())
     failing = [r for r in reports if not r.passed]
     assert [(r.identity, r.parameters) for r in failing] == [("sylvester", {"k": 7, "ell": 2})]
     value = signed_figurate_series(ModularParams(7, 2), -1, ORDER).coeffs[E]

@@ -7,6 +7,8 @@ import sys
 from operator import add
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qpl.identities
 from qpl.cli import main
@@ -375,6 +377,7 @@ class TestBattery:
         assert names == [r.identity for r in reports]
         assert set(names) == set(IDENTITIES)
 
+    @pytest.mark.usefixtures("deadline", "no_child_left")
     def test_a_patched_table_entry_reaches_both_verify_paths(self, monkeypatch, capsys):
         failing = VerificationReport("sylvester", {}, 0, False, Mismatch(0, 1, 0))
         monkeypatch.setitem(IDENTITIES, "sylvester", lambda flags: failing)
@@ -437,16 +440,11 @@ class TestBattery:
         assert interior_grid(1, 2) == []
 
 
+@pytest.mark.usefixtures("deadline", "no_child_left")
 class TestBatteryWorkers:
-    """The battery on forked workers: the k=3..8 grid has seven blocks, and
-    with two usable CPUs this process runs the k-free block and k = 3..5,
-    one worker k = 6..8."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    """The battery on forked workers: the k=3..8 grid has seven blocks, the
+    k-free one and one per k, and each process pulls the next one when idle,
+    so which process runs a block depends on timing."""
 
     @pytest.mark.parametrize("jobs,workers", [(2, 2), (3, 3), (8, 7)])
     def test_reports_equal_the_serial_run(self, cpus, monkeypatch, jobs, workers):
@@ -480,9 +478,9 @@ class TestBatteryWorkers:
     @pytest.mark.parametrize(
         "raising,message",
         [
-            # both sides raise; this process's berger k=4 comes first
+            # two blocks raise; berger k=4 comes first
             ({"berger": {4, 7}}, "berger refused k=4"),
-            # the worker's berger k=7 comes before this process's kim k=4
+            # berger k=7 comes before kim k=4, whichever process runs each
             ({"berger": {7}, "kim": {4}}, "berger refused k=7"),
         ],
     )
@@ -511,14 +509,71 @@ class TestBatteryWorkers:
         monkeypatch.setitem(IDENTITIES, "kim", entry)
         assert battery(3, 8, 60, jobs=2) == battery(3, 8, 60)
 
+    @settings(
+        max_examples=12, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        grid=st.lists(st.integers(3, 5), min_size=2, max_size=2).map(sorted),
+        order=st.integers(0, 30),
+        jobs=st.sampled_from(["1", "2", "3"]),
+        fault=st.sampled_from(["ParameterError", "TypeError", "exit"]),
+        data=st.data(),
+    )
+    def test_one_fault_anywhere_ends_as_in_one_process(
+        self, cpus, monkeypatch, capsys, grid, order, jobs, fault, data
+    ):
+        # one task raises, or a worker that runs it dies: stdout, the exit
+        # status and the last stderr line are those of --jobs 1
+        cpus(3)
+        argv = ["verify", "--all", "--grid", "k={}..{}".format(*grid), "--order", str(order)]
+        tasks = []
+        real = qpl.identities.verify_identity
+
+        def recorded(name, flags):
+            tasks.append((name, vars(flags)))
+            return real(name, flags)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qpl.identities, "verify_identity", recorded)
+            battery(grid[0], grid[1], order)
+        target = data.draw(st.sampled_from(tasks), label="faulty task")
+        here = os.getpid()
+        real_entry = IDENTITIES[target[0]]
+
+        def faulty_verifier(flags):
+            if vars(flags) == target[1]:
+                if fault == "ParameterError":
+                    raise ParameterError(f"refused {target}")
+                if fault == "TypeError":
+                    raise TypeError(f"broken {target}")
+                if os.getpid() != here:
+                    os._exit(9)
+            return real_entry(flags)
+
+        runs = []
+        with monkeypatch.context() as patch:
+            patch.setitem(IDENTITIES, target[0], faulty_verifier)
+            for j in ("1", jobs):
+                code = main([*argv, "--jobs", j])
+                out, err = capsys.readouterr()
+                runs.append((code, out, err.splitlines()[-1:]))
+                if fault == "TypeError":
+                    assert ", in faulty_verifier\n" in err
+        assert runs[0] == runs[1]
+        assert runs[0][0] == {"ParameterError": 2, "TypeError": 3, "exit": 0}[fault]
+
     def test_an_interrupt_here_reaps_the_worker(self, cpus, monkeypatch):
-        # the worker is still busy with k = 6..8 when this process stops at
+        # the worker is still busy pulling blocks when this process stops at
         # its first task; no_child_left then finds nothing to reap
         cpus(2)
+        here = os.getpid()
+        real = qpl.identities.verify_identity
 
-        def interrupted(flags):
-            raise KeyboardInterrupt
+        def interrupted_here(name, flags):
+            if os.getpid() == here:
+                raise KeyboardInterrupt
+            return real(name, flags)
 
-        monkeypatch.setitem(IDENTITIES, "triple_product", interrupted)
+        monkeypatch.setattr(qpl.identities, "verify_identity", interrupted_here)
         with pytest.raises(KeyboardInterrupt):
             battery(3, 8, 400, jobs=2)
