@@ -362,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
     the.add_argument("--ell", type=int, default=0)
     the.add_argument("--q", required=True, help="RE,IM")
     the.add_argument("--z", required=True, help="RE,IM")
-    the.add_argument("--tol", type=float, default=1e-12)
+    tail = "bounds the dropped series tail, not the rounding, which grows with sum |term|"
+    the.add_argument("--tol", type=float, default=1e-12, help=tail)
     _add_io_flags(the, ("json",))
     the.set_defaults(func=_cmd_theta)
 

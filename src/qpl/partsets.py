@@ -23,6 +23,20 @@ __all__ = ["PartSet", "parse_part_set"]
 
 _KINDS = ("I", "J", "Jbar", "Js", "mult", "set")
 
+# the family named when an interior-only kind refuses its parameters
+_INTERIOR = {
+    "J": "the plus/minus residue family",
+    "Jbar": "the residue-with-multiples family",
+    "Js": "the finite prefix family",
+}
+
+
+def _prefix_length(s) -> int:
+    s = require_integer(s, "prefix length s")
+    if s < 1:
+        raise ParameterError("prefix length s must be >= 1")
+    return s
+
 
 class PartSet(Value):
     """Symbolic description of a set of positive integer parts."""
@@ -42,51 +56,56 @@ class PartSet(Value):
     ) -> None:
         if kind not in _KINDS:
             raise ParameterError(f"unknown part-set kind {kind!r}")
+        unread = {"set": (params, s), "Js": (parts,)}.get(kind, (s, parts))
+        if any(field is not None for field in unread):
+            raise ParameterError(f"part-set kind {kind!r} got a field it does not read")
+        if kind == "set":
+            parts = frozenset(require_integer(p, "explicit part") for p in parts)
+            if not parts:
+                raise ParameterError("an explicit part set needs at least one part")
+            if any(p < 1 for p in parts):
+                raise ParameterError("explicit parts must be positive integers")
+        else:
+            if kind == "Js":
+                s = _prefix_length(s)
+            if not isinstance(params, ModularParams):
+                raise ParameterError(f"part-set kind {kind!r} needs ModularParams, got {params!r}")
+            if kind in _INTERIOR:
+                require_interior(params, _INTERIOR[kind])
+            if kind == "mult" and params.ell != 0:
+                raise ParameterError(f"the multiples family has ell = 0, got ell={params.ell}")
         super().__init__(kind, params, s, parts)
 
-    # constructors -------------------------------------------------------------
+    # named constructors: each only translates its arguments for __init__ ------
 
     @classmethod
     def residues(cls, k: int, ell: int) -> "PartSet":
         """Positive integers congruent to ell modulo k."""
-        return cls("I", params=ModularParams(k, ell))
+        return cls("I", ModularParams(k, ell))
 
     @classmethod
     def plus_minus(cls, k: int, ell: int) -> "PartSet":
         """Positive integers congruent to +ell or -ell modulo k; interior only."""
-        params = ModularParams(k, ell)
-        require_interior(params, "the plus/minus residue family")
-        return cls("J", params=params)
+        return cls("J", ModularParams(k, ell))
 
     @classmethod
     def with_multiples(cls, k: int, ell: int) -> "PartSet":
         """Positive integers congruent to 0, +ell or -ell modulo k; interior only."""
-        params = ModularParams(k, ell)
-        require_interior(params, "the residue-with-multiples family")
-        return cls("Jbar", params=params)
+        return cls("Jbar", ModularParams(k, ell))
 
     @classmethod
     def finite_prefix(cls, k: int, ell: int, s: int) -> "PartSet":
         """First s members of each of the two progressions; interior only."""
-        s = require_integer(s, "prefix length s")
-        if s < 1:
-            raise ParameterError("prefix length s must be >= 1")
-        params = ModularParams(k, ell)
-        require_interior(params, "the finite prefix family")
-        return cls("Js", params=params, s=s)
+        # s is checked before k and ell, as the constructor checks it first
+        return cls("Js", s=_prefix_length(s), params=ModularParams(k, ell))
 
     @classmethod
     def multiples(cls, k: int) -> "PartSet":
-        return cls("mult", params=ModularParams(k, 0))
+        return cls("mult", ModularParams(k, 0))
 
     @classmethod
     def explicit(cls, parts) -> "PartSet":
-        fs = frozenset(require_integer(p, "explicit part") for p in parts)
-        if not fs:
-            raise ParameterError("an explicit part set needs at least one part")
-        if any(p < 1 for p in fs):
-            raise ParameterError("explicit parts must be positive integers")
-        return cls("set", parts=fs)
+        return cls("set", parts=parts)
 
     # queries ---------------------------------------------------------------------
 
@@ -98,18 +117,12 @@ class PartSet(Value):
             return x in self.parts
         k, ell = self.params.k, self.params.ell
         r = x % k
-        if self.kind == "I":
+        if self.kind in ("I", "mult"):
             return r == ell % k
-        if self.kind == "mult":
-            return r == 0
-        if self.kind == "J":
-            return r == ell or r == k - ell
         if self.kind == "Jbar":
             return r == 0 or r == ell or r == k - ell
-        # finite prefix: the member must also sit within the first s terms
-        if r == ell and (x - ell) // k + 1 <= self.s:
-            return True
-        return r == k - ell and (x - (k - ell)) // k + 1 <= self.s
+        # J, or its finite prefix: the first s members of each progression lie below k·s
+        return (r == ell or r == k - ell) and (self.kind == "J" or x < k * self.s)
 
     def members_upto(self, n: int) -> list[int]:
         """Members <= n, ascending, without duplicates."""
@@ -118,24 +131,13 @@ class PartSet(Value):
         if self.kind == "set":
             return sorted(p for p in self.parts if p <= n)
         k, ell = self.params.k, self.params.ell
-        if self.kind == "I":
-            start = ell % k or k
-            return list(range(start, n + 1, k))
-        if self.kind == "mult":
-            return list(range(k, n + 1, k))
-        if self.kind == "J":
-            return sorted(list(range(ell, n + 1, k)) + list(range(k - ell, n + 1, k)))
+        if self.kind in ("I", "mult"):
+            return list(range(ell % k or k, n + 1, k))
         if self.kind == "Jbar":
-            return sorted(
-                list(range(ell, n + 1, k))
-                + list(range(k - ell, n + 1, k))
-                + list(range(k, n + 1, k))
-            )
-        # finite prefix: each progression stops at its s-th member or at n
-        return sorted(
-            list(range(ell, min(n, k * (self.s - 1) + ell) + 1, k))
-            + list(range(k - ell, min(n, k * (self.s - 1) + k - ell) + 1, k))
-        )
+            return sorted([*range(ell, n + 1, k), *range(k - ell, n + 1, k), *range(k, n + 1, k)])
+        # J, or its finite prefix: the first s members of each progression lie below k·s
+        top = n if self.kind == "J" else min(n, k * self.s - 1)
+        return sorted([*range(ell, top + 1, k), *range(k - ell, top + 1, k)])
 
     # display -------------------------------------------------------------------------
 

@@ -3,8 +3,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpl.errors import ParameterError
+from qpl.figurate import ModularParams
 from qpl.partsets import PartSet, parse_part_set
 
 
@@ -126,6 +129,89 @@ class TestFamilies:
         # an empty set would be labelled "set:", which parse_part_set refuses
         with pytest.raises(ParameterError, match="^an explicit part set needs at least one part$"):
             PartSet.explicit(parts)
+
+
+def _outcome(build):
+    """("ok", value) or ("raised", exception type, message)."""
+    try:
+        return ("ok", build())
+    except Exception as exc:  # noqa: BLE001 - the outcome is what is compared
+        return ("raised", type(exc), str(exc))
+
+
+_JUNK = st.sampled_from([None, True, 2.0, 2.5, "3", 10**20])
+_INT_FIELD = st.one_of(st.integers(-2, 12), _JUNK)
+
+
+@st.composite
+def _direct_and_named(draw):
+    """A direct PartSet(kind, ...) call and the named constructor it matches."""
+    kind = draw(st.sampled_from(["I", "J", "Jbar", "Js", "mult", "set"]))
+    if kind == "set":
+        parts = draw(st.lists(st.one_of(st.integers(-2, 12), _JUNK), max_size=5))
+        return (lambda: PartSet("set", parts=parts)), (lambda: PartSet.explicit(parts))
+    k = draw(st.integers(1, 12))
+    ell = 0 if kind == "mult" else draw(st.integers(0, k))
+    if kind == "mult":
+        return (lambda: PartSet("mult", ModularParams(k, 0))), (lambda: PartSet.multiples(k))
+    if kind == "Js":
+        s = draw(_INT_FIELD)
+        return (
+            lambda: PartSet("Js", ModularParams(k, ell), s),
+            lambda: PartSet.finite_prefix(k, ell, s),
+        )
+    named = {"I": PartSet.residues, "J": PartSet.plus_minus, "Jbar": PartSet.with_multiples}
+    return (lambda: PartSet(kind, ModularParams(k, ell))), (lambda: named[kind](k, ell))
+
+
+class TestOneCheckedConstructor:
+    @settings(max_examples=400, deadline=None)
+    @given(_direct_and_named())
+    def test_direct_construction_is_the_named_one(self, builds):
+        direct, named = (_outcome(build) for build in builds)
+        assert direct == named
+        if direct[0] == "ok":
+            members = direct[1].members_upto(100)
+            assert members == sorted(set(members))
+
+    def test_a_boundary_pair_is_refused(self):
+        # J:4,2 once listed 2, 6, 10 twice each and counted every part twice
+        message = "the plus/minus residue family requires interior parameters"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}"):
+            PartSet("J", ModularParams(4, 2))
+
+    def test_a_part_below_one_is_refused(self):
+        # set:0,3 once gave oracle counts 2, 0, 0, 2
+        with pytest.raises(ParameterError, match="^explicit parts must be positive integers$"):
+            PartSet("set", parts=frozenset({0, 3}))
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: PartSet("K", ModularParams(4, 1)), "unknown part-set kind 'K'"),
+            (
+                lambda: PartSet("J", ModularParams(5, 2), 3),
+                "part-set kind 'J' got a field it does not read",
+            ),
+            (
+                lambda: PartSet("Js", ModularParams(5, 2), 3, {1}),
+                "part-set kind 'Js' got a field it does not read",
+            ),
+            (
+                lambda: PartSet("set", ModularParams(5, 2), parts={1}),
+                "part-set kind 'set' got a field it does not read",
+            ),
+            (lambda: PartSet("I"), "part-set kind 'I' needs ModularParams, got None"),
+            (lambda: PartSet("I", (4, 1)), "part-set kind 'I' needs ModularParams, got (4, 1)"),
+            (
+                lambda: PartSet("mult", ModularParams(4, 2)),
+                "the multiples family has ell = 0, got ell=2",
+            ),
+        ],
+    )
+    def test_fields_the_kind_does_not_take_are_refused(self, build, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestParse:

@@ -106,6 +106,10 @@ class TestPoint:
         with pytest.raises(ValueError, match=r"^\|q\| must be < 1"):
             ThetaPoint.from_qz(10**400, 0.5)
 
+    def test_a_point_of_ints_sums_to_a_complex(self):
+        value = theta_series(ThetaPoint(0, 1), 1e-12)
+        assert type(value) is complex and value == 2 + 0j
+
     def test_nu_tau_conversion(self):
         pt = ThetaPoint.from_nu_tau(0.25, 0.5j)
         assert abs(pt.q - math.exp(-math.pi)) < 1e-15
@@ -357,7 +361,10 @@ def _pinned_points():
 
 def _theta_bits(q, z, k, ell, factors, tol):
     """float.hex of every real and imaginary part the theta calls return."""
-    point = ThetaPoint.from_qz(q, z)
+    return _theta_values_hex(ThetaPoint.from_qz(q, z), k, ell, factors, tol)
+
+
+def _theta_values_hex(point, k, ell, factors, tol):
     values = [
         theta_series(point, tol),
         theta_product(point, factors),
@@ -542,19 +549,50 @@ class TestSharedWork:
         assert theta_series(pt, 1e-4) == coarse
         assert coarse != fine
 
-    def test_real_fields_keep_their_own_arithmetic(self):
-        # A ThetaPoint built directly may hold a float or an int, whose powers
-        # CPython computes as reals; variant b converts to complex first.
+    def test_real_fields_get_the_bits_of_from_qz(self):
+        # A directly built ThetaPoint coerces a float or an int to complex, as
+        # from_qz does; it once summed in real arithmetic, which put the two
+        # series below 1 and 4 ulps away from these.
         want = {
             (0.3, 2.5): ("0x1.7cd1b0ecab7b7p+2", "-0x1.13dc986cbb1b8p-3"),
             (0.3, 2): ("0x1.256ba6221d483p+2", "-0x1.2ed3bcff47810p-3"),
-            (0.3, 0.13): ("0x1.592c6415af8b5p+2", "-0x1.2c2efc64c18acp-3"),
-            (-0.45, 0.13): ("-0x1.783a2c00490aep+1", "-0x1.bfa29da7ec00ep+1"),
+            (0.3, 0.13): ("0x1.592c6415af8b6p+2", "-0x1.2c2efc64c18acp-3"),
+            (-0.45, 0.13): ("-0x1.783a2c00490aap+1", "-0x1.bfa29da7ec00ep+1"),
         }
         for (q, z), (series, variant_b) in want.items():
-            pt = ThetaPoint(q, z)
+            pt, twin = ThetaPoint(q, z), ThetaPoint.from_qz(q, z)
             got = (theta_series(pt, 1e-13), aux_theta("b", pt, 1e-13))
+            assert got == (theta_series(twin, 1e-13), aux_theta("b", twin, 1e-13))
             assert [(v.real.hex(), v.imag) for v in got] == [(series, 0), (variant_b, 0)]
+            for value, sign in zip(got, (1, -1)):  # within TestReference's bound
+                reference, s = reference_series(q, sign * z)
+                assert abs(value - reference) <= 1e-13 + 1e-13 * s
+
+
+class TestDirectPoint:
+    """ThetaPoint(q, z) is checked and coerced as ThetaPoint.from_qz(q, z) is."""
+
+    @staticmethod
+    def _plain(x):
+        """x as an int or a float where its imaginary part is +0.0, else x."""
+        if x.imag != 0 or math.copysign(1, x.imag) < 0:
+            return x
+        return int(x.real) if x.real.is_integer() else x.real
+
+    @pytest.mark.parametrize(
+        "args",
+        _EDGE_POINTS + tuple(_pinned_points()),
+        ids=[f"edge{i}" for i in range(len(_EDGE_POINTS))] + [f"pinned{i}" for i in range(40)],
+    )
+    def test_a_direct_point_is_its_from_qz_twin(self, args):
+        # from plain numbers too, so both sum in the same complex arithmetic
+        q, z, k, ell, factors, tol = args
+        twin = ThetaPoint.from_qz(q, z)
+        point = ThetaPoint(self._plain(q), self._plain(z))
+        assert repr(point) == repr(twin)
+        assert _theta_values_hex(point, k, ell, factors, tol) == _theta_values_hex(
+            twin, k, ell, factors, tol
+        )
 
 
 # --------------------------------------------------------------------------
@@ -679,9 +717,16 @@ KNOWN_MISSES = {
 def _reference_error(points, index, check):
     """(|value - reference|, allowed) for one check of one point: tol + 1e-13·S
     for the series and the variants, 1e-13 times the product of the factors'
-    magnitude sums for theta_product."""
+    magnitude sums for theta_product, and the two sides' allowances, the
+    right one divided by |z|, for the residual."""
     q, z, k, ell, factors, tol = REFERENCE_POINTS[points][index]
     point = ThetaPoint.from_qz(q, z)
+    if check == "residual":  # T(qz|q) = T(z|q)/z, so the first residual is an error
+        first, second = quasi_periodicity_residual(point, tol)
+        assert second == 0  # no (nu, tau) stored
+        s_qz = reference_series(point.q, point.q * point.z)[1]
+        s_z = reference_series(point.q, point.z)[1]
+        return first, (tol + 1e-13 * s_qz) + (tol + 1e-13 * s_z) / abs(point.z)
     if check == "product":
         want, bound = reference_product(point.q, point.z, factors)
         return abs(theta_product(point, factors) - want), 1e-13 * bound
@@ -695,7 +740,7 @@ def _reference_error(points, index, check):
 
 
 class TestReference:
-    CHECKS = ("series", "product", "a", "b", "c", "d")
+    CHECKS = ("series", "product", "a", "b", "c", "d", "residual")
 
     @pytest.mark.parametrize(
         "points,index",

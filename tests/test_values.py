@@ -42,7 +42,7 @@ def _examples():
             "VerificationReport(identity='kim', parameters={'k': 3}, order=5, passed=False, "
             "mismatch=Mismatch(q_exponent=3, lhs=1, rhs=2, z_exponent=-1))",
         ),
-        (lambda: ThetaPoint(0.3, 0.13), "ThetaPoint(q=0.3, z=0.13, nu=None, tau=None)"),
+        (lambda: ThetaPoint(0.3, 0.13), "ThetaPoint(q=(0.3+0j), z=(0.13+0j), nu=None, tau=None)"),
         (
             lambda: ThetaPoint.from_qz(0.3, 0.13),
             "ThetaPoint(q=(0.3+0j), z=(0.13+0j), nu=None, tau=None)",
