@@ -60,7 +60,13 @@ class PartSet(Value):
         if any(field is not None for field in unread):
             raise ParameterError(f"part-set kind {kind!r} got a field it does not read")
         if kind == "set":
-            parts = frozenset(require_integer(p, "explicit part") for p in parts)
+            try:
+                items = iter(parts)
+            except TypeError:
+                raise ParameterError(
+                    f"explicit parts must be an iterable of integers, got {parts!r}"
+                ) from None
+            parts = frozenset(require_integer(p, "explicit part") for p in items)
             if not parts:
                 raise ParameterError("an explicit part set needs at least one part")
             if any(p < 1 for p in parts):

@@ -6,12 +6,23 @@ n = m+1, which share the q-exponent m(m+1)/2; that keeps the cancellation at
 z = -1 exact and gives a clean geometric tail bound.  All fractional powers
 (q^{-1/8}, q^{1/2}, z^{1/2}) take the principal branch.
 
+Every power in a sum is a running product, taken in C by itertools.accumulate:
+q^m is q^{m-1}·q, q^{m(m+1)/2} is q^{m(m-1)/2}·q^m, z^{m+1} comes from z and
+z^{-m} from 1/z.  The pairs are summed from m = t down to 0, small terms
+first.  A complex ** carries the rounding of |q| and arg q times its
+exponent, while the rounding of a running product grows far more slowly, so
+the sums stay well inside the 60-digit reference bound of the tests up to
+|q| = 0.9995.  A product past the float range gives inf or nan without
+raising, so a sum that is not finite raises OverflowError naming the least
+exponent whose power of z left the range.
+
 The calls at one point repeat most of their work, and the module shares it
-without changing a float operation: each exact (q, z, tol) is summed once,
-each pair count is found once per (|q|, max(|z|, 1/|z|), tol), and each q
-keeps one table of q^{m(m+1)/2}.  The memos are small and bounded.  A series
-or a q table is memoized only when == on its key implies identical bits, so
-never by ThetaPoint equality and never when a component of q or z is ±0.0.
+without changing the bits of any value: each exact (q, z, tol) is summed
+once, each pair count is found once per (|q|, max(|z|, 1/|z|), tol), and
+each q keeps one table of q^{m(m+1)/2}.  The memos are small and bounded.  A
+series or a q table is memoized only when == on its key implies identical
+bits, so never by ThetaPoint equality and never when a component of q or z
+is ±0.0.
 """
 
 from __future__ import annotations
@@ -19,6 +30,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+from collections.abc import Iterator
+from itertools import accumulate, repeat
+from operator import add, mul
 
 from .value import Value
 
@@ -41,8 +55,9 @@ MAX_PAIRS = 100_000
 class ThetaPoint(Value):
     """Evaluation point: q with |q| < 1 strictly, z nonzero, both held as complex.
 
-    May carry the (nu, tau) coordinates it was converted from, in which case
-    q = exp(2*pi*i*tau) and z = exp(2*pi*i*nu) with Im(tau) > 0.
+    May carry the (nu, tau) coordinates it was converted from, given together,
+    in which case Im(tau) > 0 and q and z are exp(2*pi*i*tau) and
+    exp(2*pi*i*nu) as from_nu_tau computes them.
     """
 
     __slots__ = ("q", "z", "nu", "tau")
@@ -54,7 +69,17 @@ class ThetaPoint(Value):
     def __init__(
         self, q: complex, z: complex, nu: complex | None = None, tau: complex | None = None
     ) -> None:
-        super().__init__(*_qz(q, z), nu, tau)
+        q, z = _qz(q, z)
+        if nu is not None or tau is not None:
+            if nu is None or tau is None:
+                raise ValueError("nu and tau must be given together")
+            want_q, want_z, nu, tau = _nu_tau_point(nu, tau)
+            if (q, z) != (want_q, want_z):
+                raise ValueError(
+                    f"nu = {nu} and tau = {tau} give q = {want_q} and z = {want_z}, "
+                    f"not q = {q} and z = {z}"
+                )
+        super().__init__(q, z, nu, tau)
 
     @classmethod
     def from_qz(cls, q: complex, z: complex) -> "ThetaPoint":
@@ -62,13 +87,17 @@ class ThetaPoint(Value):
 
     @classmethod
     def from_nu_tau(cls, nu: complex, tau: complex) -> "ThetaPoint":
-        tau = complex(tau)
-        nu = complex(nu)
-        if tau.imag <= 0:
-            raise ValueError("Im(tau) must be positive")
-        return cls(
-            cmath.exp(_TWO_PI_I * tau), cmath.exp(_TWO_PI_I * nu), nu=nu, tau=tau
-        )
+        return cls(*_nu_tau_point(nu, tau))
+
+
+def _nu_tau_point(nu, tau) -> tuple[complex, complex, complex, complex]:
+    """(q, z, nu, tau) of ThetaPoint.from_nu_tau(nu, tau): nu and tau as
+    complex numbers, Im(tau) checked, q = exp(2*pi*i*tau), z = exp(2*pi*i*nu)."""
+    tau = complex(tau)
+    nu = complex(nu)
+    if tau.imag <= 0:
+        raise ValueError("Im(tau) must be positive")
+    return cmath.exp(_TWO_PI_I * tau), cmath.exp(_TWO_PI_I * nu), nu, tau
 
 
 def _as_complex(x):
@@ -187,24 +216,43 @@ def _exact(x) -> bool:
     return type(x) is complex and x.real != 0 and x.imag != 0
 
 
-# The q ** (m(m+1)//2) tables of at most two exact q, each kept only up to
+# The q^{m(m+1)/2} tables of at most two exact q, each kept only up to
 # _Q_TABLE_MAX + 1 entries (together under 100 kB).  A longer table replaces
-# a shorter one and is never grown in place, so every reader gets a whole one.
+# a shorter one and is rebuilt from m = 0, never grown in place, so every
+# reader gets a whole one and each entry's bits depend only on q and m.
 _q_tables: dict[complex, tuple[complex, ...]] = {}
 _Q_TABLE_MAX = 1000
 
 
+def _powers(x, count: int) -> Iterator[complex]:
+    """x, x^2, ..., x^count, each the one before times x."""
+    return accumulate(repeat(x, count), mul)
+
+
 def _q_powers(q, t: int) -> tuple[complex, ...]:
-    """q ** (m(m+1)//2) for m = 0..t (the table may run further)."""
+    """q^{m(m+1)/2} for m = 0..t (the table may run further): q^m is
+    q^{m-1}·q, and q^{m(m+1)/2} is q^{m(m-1)/2}·q^m."""
     keep = _exact(q) and t <= _Q_TABLE_MAX
     powers = _q_tables.get(q, ()) if keep else ()
     if len(powers) <= t:
-        powers += tuple(q ** (m * (m + 1) // 2) for m in range(len(powers), t + 1))
+        powers = tuple(accumulate(_powers(q, t), mul, initial=1 + 0j))
         if keep:
             if q not in _q_tables and len(_q_tables) >= 2:
                 _q_tables.clear()
             _q_tables[q] = powers
     return powers
+
+
+def _first_overflow(z, t: int) -> OverflowError:
+    """The OverflowError of a series that is not finite, naming the least
+    exponent whose power of z (z^{m+1}, or z^{-m} as (1/z)^m) left the
+    float range."""
+    abs_z = abs(z)
+    base, name, count = (z, "z", t + 1) if abs_z > 1 else (1 / z, "1/z", t)
+    for m, power in enumerate(_powers(base, count), 1):
+        if not cmath.isfinite(power):
+            return OverflowError(f"{name}^{m} overflows a float at |z| = {abs_z}")
+    return OverflowError(f"a theta term overflows a float at |z| = {abs_z}")
 
 
 def _sum_series(q, z, tol: float) -> complex:
@@ -218,13 +266,13 @@ def _sum_series(q, z, tol: float) -> complex:
     if math.isinf(big_z):
         raise OverflowError(f"1/|z| overflows a float at |z| = {abs_z}")
     t = _pair_count(abs(q), big_z, tol)
-    q_powers = _q_powers(q, t)
-    total = 0j
-    try:
-        for m in range(t, -1, -1):  # small terms first
-            total += q_powers[m] * (z ** (-m) + z ** (m + 1))
-    except ZeroDivisionError:  # z**(-m) is 1/z**m, and z**m underflowed to 0
-        raise OverflowError(f"1/z^{m} overflows a float at |z| = {abs_z}") from None
+    # pair m is q^{m(m+1)/2}·(z^{-m} + z^{m+1}), for m = 0..t
+    pairs = map(add, accumulate(repeat(1 / z, t), mul, initial=1 + 0j), _powers(z, t + 1))
+    terms = list(map(mul, _q_powers(q, t), pairs))
+    terms.reverse()  # small terms first
+    total = sum(terms, 0j)
+    if not cmath.isfinite(total):  # a power of z overflowed, or a term
+        raise _first_overflow(z, t)
     return total
 
 
@@ -246,10 +294,11 @@ def theta_series(point: ThetaPoint, tol: float) -> complex:
     """Partial sum of the bilateral series, with the dropped tail below tol.
 
     tol does not bound the rounding, which grows with S, the sum of |term|:
-    at |q| = 0.995 the sum is 610 off at tol 1e-12 (S = 3.6e17).  q = 0
-    degenerates to 1 + z exactly (only n = 0, 1 survive); z = -1 returns
-    exactly 0 by the n <-> 1-n pairing.  Raises OverflowError when 1/|z| or
-    a term overflows a float, or a power of z underflows to 0.
+    at q = 0.995 + 0.03j and z = 0.5 + 0.25j the sum is 6 off at tol 1e-12,
+    and at -z 2 826 off (S = 3.6e17).  q = 0 degenerates to 1 + z exactly
+    (only n = 0, 1 survive); z = -1 returns exactly 0 by the n <-> 1-n
+    pairing.  Raises OverflowError when 1/|z|, a power of z or a term
+    overflows a float.
     """
     _check_tol(tol)
     return _series(point.q, point.z, tol)
@@ -299,7 +348,12 @@ def _aux(variant: str, q, z, tol: float) -> complex:
     inner_tol = tol / max(abs(prefactor), 1e-300)
     inner_q, inner_z = _moved_point(q, z, q, inner_z)
     _check_tol(inner_tol)  # tol / |prefactor| can underflow to 0
-    return prefactor * _series(inner_q, inner_z, inner_tol)
+    value = prefactor * _series(inner_q, inner_z, inner_tol)
+    if not cmath.isfinite(value):
+        raise OverflowError(
+            f"variant {variant} overflows a float at |q| = {abs(q)}, |z| = {abs(z)}"
+        )
+    return value
 
 
 def quasi_periodicity_residual(

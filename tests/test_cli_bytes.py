@@ -3,8 +3,10 @@
 The digests were taken from the code before the duplicated route and
 verifier helpers were merged (the J:5,2 rows from the code before the
 recursions became quotients of figurate series, the theta rows from the code
-before the series' pair count was found in closed form); any change to a
-printed byte fails here.  `divisors --check --format json` printed CSV until
+before the series' pair count was found in closed form, and the eight of them
+whose bits moved from the code that builds every power by running products,
+their values inside the 60-digit reference bound of tests/test_theta.py);
+any change to a printed byte fails here.  `divisors --check --format json` printed CSV until
 the two cross-checks shared one emitter, so its digest is of the first JSON
 it printed, whose rows tests/test_cli.py checks against the CSV rows.  The
 `partitions --format json` rows, which print each route's provenance, were
@@ -154,17 +156,17 @@ DIGESTS = {
     "verify --identity kim --k 5 --ell 2 --order 60": (0, "a15d69ab5b72aa5652f76904a1b26149d7331eb859def8b567fd3b1f652374f8"),
     "verify --all --grid k=3..5 --order 60": (0, "0d018e28fe5df92fb926cb2e3384f1ea170183fef1deb7046ab81955566aed0b"),
     "theta --variant a --q 0.3,0.1 --z 0.7,-0.4": (0, "2d3be4a0f4c7569bbd664e036e425b625e94c60b664399dd235a69651d4a57e0"),
-    "theta --variant b --q 0.3,0.1 --z 0.7,-0.4": (0, "a4c00f5518c086a4e7ce518fa812d67e27d353dad1e5294d5d74b68ca16b36cd"),
+    "theta --variant b --q 0.3,0.1 --z 0.7,-0.4": (0, "5f72c85823f1a82f10b0e40460a04fd4a581f68445e12bf3df5fa6e688cba6c6"),
     "theta --variant c --q 0.3,0.1 --z 0.7,-0.4": (0, "ee10447711161c97edfbf76cfe7a92de3aaab6b76a1b2ad98f049c670fb575a1"),
-    "theta --variant d --q 0.3,0.1 --z 0.7,-0.4": (0, "52d1417772ff8e1486a944a90bae45f243aa46a1e7016308d7b30526387921d5"),
-    "theta --k 1 --ell 0 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "3a5e9ab64982acd310fbfde15e0d6cd0487b4db450ba5b3e269baf1ada0dd614"),
-    "theta --k 2 --ell 1 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "d62ee47f5f8ff35a62c78aef91d59359cff1d9be1f5d46f50e4af1902b679827"),
-    "theta --k 3 --ell 1 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "a8353ea13f51a5f26cc172af4f97f1cc32be852672c70e300fad399d5cc3e02a"),
-    "theta --k 3 --ell 2 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "81ac7f19dadc906cded45dbc495719ea384e785dc6a9a1a39f26b833ef4d608d"),
+    "theta --variant d --q 0.3,0.1 --z 0.7,-0.4": (0, "1acd88e5b7f937aafd412ee83513b3a1282aa267dbfe247e642698571eedd5d9"),
+    "theta --k 1 --ell 0 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "9816e200c6af20754667e4ffcedab02298e3c2c1d1229bd4a643e20802598595"),
+    "theta --k 2 --ell 1 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "8dacdac25678130367b31edf228b458d962f62f050a1b9b4cb78d2d07eb7724e"),
+    "theta --k 3 --ell 1 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "08ea934bf07b6150fa520c96714b5c987c60c12a6e867700a9b520458aa3a8ce"),
+    "theta --k 3 --ell 2 --variant c --q 0.45,-0.2 --z 1.3,0.5": (0, "3f70257baa5419bb449125b81c58499094c86a36e6117f814bda0cbaa7ed1fde"),
     "theta --q 0.3,0.1 --z=-1,0": (0, "79eb321cc9e36d79c92fe54082a99e3468f82c64d79980e927fb1576874f7de5"),
     "theta --q 0,0 --z 2,0.5": (0, "edcbcbc8327719ead5a55a718cd07df09a87a91a116d9ed0659aec989ef35fc5"),
-    "theta --q 0.54,0.72 --z 6,8 --tol 1e-10": (0, "df48468b92692341e0c3eac202cee522d23fa0b5b6b20b7e6ca14e5efd1123a4"),
-    "theta --variant d --q 0.54,0.72 --z 0.06,-0.08": (0, "4c3da8e032b6cf33a9a898706191052dcd2424152038c8cb59b495edce0c1469"),
+    "theta --q 0.54,0.72 --z 6,8 --tol 1e-10": (0, "245763c8cbbc8c4ca05bf117b92fdb7299cb4a62613b11c28205900eb5f4fd2b"),
+    "theta --variant d --q 0.54,0.72 --z 0.06,-0.08": (0, "6738024df5b3c598686545a9dd492405ec641cea61b157a4c186a4db864eed40"),
 }
 
 

@@ -124,6 +124,20 @@ class TestFamilies:
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             build()
 
+    @pytest.mark.parametrize(
+        "build,parts",
+        [
+            (lambda: PartSet.explicit(None), "None"),
+            (lambda: PartSet("set"), "None"),
+            (lambda: PartSet.explicit(5), "5"),
+        ],
+    )
+    def test_explicit_parts_must_be_iterable(self, build, parts):
+        # each was once a bare TypeError
+        message = f"explicit parts must be an iterable of integers, got {parts}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("parts", [[], (), iter([])])
     def test_explicit_needs_a_part(self, parts):
         # an empty set would be labelled "set:", which parse_part_set refuses
