@@ -269,8 +269,7 @@ def _sum_series(q, z, tol: float) -> complex:
     # pair m is q^{m(m+1)/2}·(z^{-m} + z^{m+1}), for m = 0..t
     pairs = map(add, accumulate(repeat(1 / z, t), mul, initial=1 + 0j), _powers(z, t + 1))
     terms = list(map(mul, _q_powers(q, t), pairs))
-    terms.reverse()  # small terms first
-    total = sum(terms, 0j)
+    total = sum(reversed(terms), 0j)  # small terms first
     if not cmath.isfinite(total):  # a power of z overflowed, or a term
         raise _first_overflow(z, t)
     return total

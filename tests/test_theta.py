@@ -766,11 +766,14 @@ def _sample_points():
 
 def _near_one_points():
     """12 seeded points (q, z, k, ell, factors, tol) at |q| = 0.999 and 0.9995,
-    the series up to 2 030 pairs, every angle.  |z| runs to 10^±0.24 and 10^±0.14, about
-    as far from 1 as the powers of z the series needs stay in the float range
-    (10^0.3 takes z^1387 past it at |q| = 0.999)."""
+    the series up to 2 030 pairs, every angle.  |z| runs to 10^±0.24 and
+    10^±0.14, about as far from 1 as the powers of z the series needs stay in
+    the float range (10^0.3 takes z^1387 past it at |q| = 0.999)."""
     rng = random.Random(1)
-    spans = {0.999: (-0.24, -0.15, -0.05, 0.05, 0.15, 0.24), 0.9995: (-0.14, -0.08, -0.02, 0.02, 0.08, 0.14)}
+    spans = {
+        0.999: (-0.24, -0.15, -0.05, 0.05, 0.15, 0.24),
+        0.9995: (-0.14, -0.08, -0.02, 0.02, 0.08, 0.14),
+    }
     for i, (abs_q, log_z) in enumerate((a, u) for a, us in spans.items() for u in us):
         q = cmath.rect(abs_q, rng.uniform(-math.pi, math.pi))
         z = cmath.rect(10**log_z, rng.uniform(-math.pi, math.pi))
